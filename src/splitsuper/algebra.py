@@ -9,6 +9,7 @@ extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .fields import Field
 from .linalg import (
@@ -32,6 +33,13 @@ class Violation:
     kind: str  # "grading" or "identity"
     indices: tuple
     residual: Vector
+
+
+def _parity_parts(field: Field, parity, v: Vector) -> tuple[Vector, Vector]:
+    """The even and odd components of v, each in the full coordinate space."""
+    ev = tuple(x if parity[i] == 0 else field.zero() for i, x in enumerate(v))
+    od = tuple(x if parity[i] == 1 else field.zero() for i, x in enumerate(v))
+    return ev, od
 
 
 @dataclass(frozen=True)
@@ -64,9 +72,7 @@ class GradedSubspace:
         return [(v, 0) for v in self.even.basis] + [(v, 1) for v in self.odd.basis]
 
     def contains_vector(self, v: Vector, parity: list) -> bool:
-        f = self.even.field
-        ev = tuple(x if parity[i] == 0 else f.zero() for i, x in enumerate(v))
-        od = tuple(x if parity[i] == 1 else f.zero() for i, x in enumerate(v))
+        ev, od = _parity_parts(self.even.field, parity, v)
         return self.even.contains_vector(ev) and self.odd.contains_vector(od)
 
     def contains(self, other: "GradedSubspace") -> bool:
@@ -85,6 +91,10 @@ class Superalgebra:
 
     table maps (i, j) to a tuple of (k, scalar) pairs meaning
     [b_i, b_j] = sum scalar * b_k; absent pairs multiply to zero.
+
+    The invariants `center`, `derived_subalgebra` and `leibniz_kernel` are
+    computed on first access by the module functions of the same name and
+    kept on the instance, so each runs at most once per algebra.
     """
 
     field: Field
@@ -165,10 +175,7 @@ class Superalgebra:
         return violations
 
     def split_parity(self, v: Vector) -> tuple[Vector, Vector]:
-        f = self.field
-        ev = tuple(x if self.parity[i] == 0 else f.zero() for i, x in enumerate(v))
-        od = tuple(x if self.parity[i] == 1 else f.zero() for i, x in enumerate(v))
-        return ev, od
+        return _parity_parts(self.field, self.parity, v)
 
     def graded_span(self, vectors) -> GradedSubspace:
         evens, odds = [], []
@@ -187,6 +194,20 @@ class Superalgebra:
 
     def full_graded(self) -> GradedSubspace:
         return self.graded_span([unit_vector(self.field, self.dim, i) for i in range(self.dim)])
+
+    # Each memo calls the module function through its global name, so a
+    # rebinding of that name (as a tracer does) sees every computation.
+    @cached_property
+    def center(self) -> GradedSubspace:
+        return center(self)
+
+    @cached_property
+    def derived_subalgebra(self) -> GradedSubspace:
+        return derived_subalgebra(self)
+
+    @cached_property
+    def leibniz_kernel(self) -> GradedSubspace:
+        return leibniz_kernel(self)
 
 
 def generated_ideal(alg: Superalgebra, gens: GradedSubspace) -> GradedSubspace:

@@ -12,26 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    GradedSubspace,
-    Superalgebra,
-    center,
-    derived_subalgebra,
-    generated_ideal,
-)
+from .algebra import GradedSubspace, Superalgebra, generated_ideal
 from .connections import (
     VerificationError,
     is_graded_ideal,
     is_subalgebra,
 )
 from .linalg import Matrix, Subspace, kernel_basis, vec_is_zero
-from .splitting import Root, RootPartition, SplitDecomposition
+from .splitting import RootPartition, SplitDecomposition
 
 DEFAULT_ORACLE_BOUND = 2**20
 
 
 def space_key(space: GradedSubspace):
     return (space.even.basis, space.odd.basis)
+
+
+def _trivial_keys(alg: Superalgebra, part: RootPartition) -> set:
+    """Keys of the ideals every algebra has here: 0, the kernel I and L."""
+    return {space_key(alg.zero_graded()), space_key(part.frak_i), space_key(alg.full_graded())}
 
 
 def _slot_product(alg: Superalgebra, a: Subspace, b: Subspace) -> list:
@@ -95,7 +94,7 @@ def lie_annihilator(dec: SplitDecomposition, part: RootPartition) -> GradedSubsp
     if not rows:
         return alg.full_graded()
     result = alg.graded_span(kernel_basis(f, Matrix.from_rows(f, rows)))
-    if not result.contains(center(alg)):
+    if not result.contains(alg.center):
         raise VerificationError("annihilator lost a central element", result)
     return result
 
@@ -130,6 +129,7 @@ class HypothesisReport:
     card_i: int
     product_span_recovers_subalgebra: object  # True/False, or None when not applicable
     h_lambda: GradedSubspace
+    lie_annihilator: GradedSubspace  # not reported; lemma_checks reads it
 
 
 def _product_span_check(dec: SplitDecomposition, part: RootPartition) -> bool:
@@ -159,17 +159,19 @@ def hypothesis_report(dec: SplitDecomposition, part: RootPartition) -> Hypothesi
     h_eq = h_lam.even == dec.cartan.even and h_lam.odd == dec.cartan.odd
     rm_flag, rm_violations = root_multiplicative(dec, part)
     product_span = _product_span_check(dec, part) if h_eq else None
+    z_lie = lie_annihilator(dec, part)
     return HypothesisReport(
         h_equals_h_lambda=h_eq,
-        center_zero=center(alg).is_zero(),
-        lie_annihilator_zero=lie_annihilator(dec, part).is_zero(),
-        perfect=derived_subalgebra(alg).dim == alg.dim,
+        center_zero=alg.center.is_zero(),
+        lie_annihilator_zero=z_lie.is_zero(),
+        perfect=alg.derived_subalgebra.dim == alg.dim,
         root_multiplicative=rm_flag,
         root_mult_violations=tuple(rm_violations),
         card_not_i=len(part.nonkernel_roots()),
         card_i=len(part.kernel_roots()),
         product_span_recovers_subalgebra=product_span,
         h_lambda=h_lam,
+        lie_annihilator=z_lie,
     )
 
 
@@ -183,6 +185,17 @@ class SimplicityVerdict:
     notes: tuple = ()
 
 
+def _unmet_hypotheses(part: RootPartition, hyp: HypothesisReport) -> list:
+    """The structural preconditions shared by theorem mode and classify."""
+    checks = (
+        ("maximal_length", part.maximal_length),
+        ("h_equals_h_lambda", hyp.h_equals_h_lambda),
+        ("lie_annihilator_zero", hyp.lie_annihilator_zero),
+        ("root_multiplicative", hyp.root_multiplicative),
+    )
+    return [name for name, ok in checks if not ok]
+
+
 def theorem_verdict(
     dec: SplitDecomposition,
     part: RootPartition,
@@ -190,15 +203,7 @@ def theorem_verdict(
     conn: dict,
 ) -> SimplicityVerdict:
     """Connectivity criterion under the structural hypotheses."""
-    failed = []
-    if not part.maximal_length:
-        failed.append("maximal_length")
-    if not hyp.h_equals_h_lambda:
-        failed.append("h_equals_h_lambda")
-    if not hyp.lie_annihilator_zero:
-        failed.append("lie_annihilator_zero")
-    if not hyp.root_multiplicative:
-        failed.append("root_multiplicative")
+    failed = _unmet_hypotheses(part, hyp)
     if hyp.card_not_i <= 2:
         failed.append("card_notI")
     if hyp.card_i <= 2:
@@ -210,9 +215,7 @@ def theorem_verdict(
             "Simple", "TheoremMode", notes=("all slot pairs connected on both sides",)
         )
     alg = dec.algebra
-    frak_i = part.frak_i
-    full_dim = alg.dim
-    targets = {space_key(alg.zero_graded()), space_key(frak_i), space_key(alg.full_graded())}
+    targets = _trivial_keys(alg, part)
     for upsilon in ("notI", "I"):
         info = conn[upsilon]
         if info["connected"]:
@@ -220,7 +223,7 @@ def theorem_verdict(
         for root, parity in info["failing_pair"]:
             seed = alg.graded_span(dec.slot(root, parity).basis)
             ideal = generated_ideal(alg, seed)
-            if space_key(ideal) not in targets and 0 < ideal.dim < full_dim:
+            if space_key(ideal) not in targets and 0 < ideal.dim < alg.dim:
                 return SimplicityVerdict(
                     "NotSimple",
                     "TheoremMode",
@@ -285,7 +288,7 @@ def oracle_verdict(
     line_keys = set()
     for i, (r1, p1) in enumerate(slots):
         for j, (r2, p2) in enumerate(slots):
-            if r1 + r2 != Root(f, tuple(f.zero() for _ in dec.h0_basis)):
+            if not (r1 + r2).is_zero():
                 continue
             v = alg.product(slot_vec[i], slot_vec[j])
             if vec_is_zero(f, v):
@@ -321,8 +324,6 @@ def oracle_verdict(
     if candidates > bound:
         raise OracleBoundExceeded(candidates, bound)
 
-    zero_root = Root(f, tuple(f.zero() for _ in dec.h0_basis))
-
     # Product incidence tables. Entries: None for zero, ("slot", k), or
     # ("h", line_index) into h_vectors.
     h_vectors: list = []
@@ -353,25 +354,31 @@ def oracle_verdict(
                     raise VerificationError("slot product escaped the decomposition", v)
                 pair_table[i][j] = ("slot", target)
 
+    def forced_slots(h, t: int, what: str) -> set:
+        """Slots hit by h acting on slot t from either side; the action of
+        an element of H keeps the root, so only t's two parities qualify."""
+        r = slots[t][0]
+        hits = set()
+        for v in (alg.product(slot_vec[t], h), alg.product(h, slot_vec[t])):
+            if vec_is_zero(f, v):
+                continue
+            targets = [
+                slot_index[(r, q)]
+                for q in (0, 1)
+                if (r, q) in slot_index and dec.slot(r, q).contains_vector(v)
+            ]
+            if not targets:
+                raise VerificationError(f"{what} action escaped the root space", v)
+            hits.add(targets[0])
+        return hits
+
     # Slots forced into the candidate once slot s is present, from the
     # two-sided action of the whole splitting subalgebra.
     h_basis = dec.cartan.basis_vectors()
-    h_action_req = [set() for _ in range(n_slots)]
-    for s in range(n_slots):
-        r, p = slots[s]
-        for h in h_basis:
-            for v in (alg.product(slot_vec[s], h), alg.product(h, slot_vec[s])):
-                if vec_is_zero(f, v):
-                    continue
-                hit = None
-                for q in (0, 1):
-                    target = slot_index.get((r, q))
-                    if target is not None and dec.slot(r, q).contains_vector(v):
-                        hit = target
-                        break
-                if hit is None:
-                    raise VerificationError("subalgebra action escaped the root space", v)
-                h_action_req[s].add(hit)
+    h_action_req = [
+        set().union(*(forced_slots(h, s, "subalgebra") for h in h_basis))
+        for s in range(n_slots)
+    ]
 
     # Per lattice member: slots forced by the member's generators acting on
     # any slot, and membership of each product line.
@@ -379,23 +386,9 @@ def oracle_verdict(
     line_in_member: dict = {}
     for m in lattice:
         key = space_key(m)
-        req = set()
-        for g in lattice_gens[key]:
-            for t in range(n_slots):
-                r, _ = slots[t]
-                for v in (alg.product(g, slot_vec[t]), alg.product(slot_vec[t], g)):
-                    if vec_is_zero(f, v):
-                        continue
-                    hit = None
-                    for q in (0, 1):
-                        target = slot_index.get((r, q))
-                        if target is not None and dec.slot(r, q).contains_vector(v):
-                            hit = target
-                            break
-                    if hit is None:
-                        raise VerificationError("lattice action escaped the root space", v)
-                    req.add(hit)
-        member_req[key] = req
+        member_req[key] = set().union(
+            *(forced_slots(g, t, "lattice") for g in lattice_gens[key] for t in range(n_slots))
+        )
         line_in_member[key] = [m.contains_vector(v, parity) for v in h_vectors]
 
     found = []
@@ -453,48 +446,28 @@ def oracle_verdict(
         if not is_graded_ideal(alg, space):
             raise VerificationError("enumerated candidate failed independent recheck", space)
 
-    frak_i = part.frak_i
-    target_keys = {
-        space_key(alg.zero_graded()),
-        space_key(frak_i),
-        space_key(alg.full_graded()),
-    }
+    target_keys = _trivial_keys(alg, part)
     extras = [s for s in found_sorted if space_key(s) not in target_keys]
-    derived_zero = derived_subalgebra(alg).dim == 0
 
-    if derived_zero:
+    def result(verdict: str, **extra) -> OracleResult:
         return OracleResult(
-            "NotSimple", complete, candidates, len(lattice), n_slots, tuple(found_sorted),
-            certificate_kind="derived_zero",
+            verdict, complete, candidates, len(lattice), n_slots, tuple(found_sorted), **extra
         )
+
+    if alg.derived_subalgebra.dim == 0:
+        return result("NotSimple", certificate_kind="derived_zero")
     if extras:
-        return OracleResult(
-            "NotSimple", complete, candidates, len(lattice), n_slots, tuple(found_sorted),
-            certificate_ideal=extras[0], certificate_kind="ideal",
-        )
-    if {space_key(s) for s in found_sorted} == target_keys:
-        if complete:
-            return OracleResult(
-                "Simple", complete, candidates, len(lattice), n_slots, tuple(found_sorted)
-            )
-        return OracleResult(
-            "Undetermined", complete, candidates, len(lattice), n_slots, tuple(found_sorted),
-            notes=("subalgebra lattice not exhaustive",),
-        )
+        return result("NotSimple", certificate_ideal=extras[0], certificate_kind="ideal")
     if complete:
-        raise VerificationError("exhaustive enumeration missed a required ideal", found_sorted)
-    return OracleResult(
-        "Undetermined", complete, candidates, len(lattice), n_slots, tuple(found_sorted),
-        notes=("subalgebra lattice not exhaustive",),
-    )
+        if {space_key(s) for s in found_sorted} != target_keys:
+            raise VerificationError("exhaustive enumeration missed a required ideal", found_sorted)
+        return result("Simple")
+    return result("Undetermined", notes=("subalgebra lattice not exhaustive",))
 
 
 def ideal_root_aligned(dec: SplitDecomposition, space: GradedSubspace) -> bool:
     """space must equal its meet with the subalgebra plus whole slots."""
-    alg = dec.algebra
-    rebuilt = GradedSubspace(
-        space.even.intersect(dec.cartan.even), space.odd.intersect(dec.cartan.odd)
-    )
+    rebuilt = _graded_meet(space, dec.cartan)
     for root, parity in dec.occupied_slots():
         slot = dec.slot(root, parity)
         part = space.even if parity == 0 else space.odd
@@ -524,7 +497,6 @@ def lemma_checks(
     h_plus_i = dec.cartan.plus(frak_i)
     full_key = space_key(alg.full_graded())
     i_key = space_key(frak_i)
-    z_lie = lie_annihilator(dec, part)
 
     prop_full = (
         hyp.h_equals_h_lambda
@@ -547,13 +519,9 @@ def lemma_checks(
             violations.append(("outside_ideal_not_full", space))
         if prop_kernel and space.dim > 0 and frak_i.contains(space) and space_key(space) != i_key:
             violations.append(("kernel_ideal_not_kernel", space))
-        if inside_h_plus_i:
-            meet = GradedSubspace(
-                space.even.intersect(dec.cartan.even),
-                space.odd.intersect(dec.cartan.odd),
-            )
-            if not z_lie.contains(meet):
-                violations.append(("subalgebra_meet_escapes_annihilator", space))
+        meet = _graded_meet(space, dec.cartan)
+        if inside_h_plus_i and not hyp.lie_annihilator.contains(meet):
+            violations.append(("subalgebra_meet_escapes_annihilator", space))
     return violations
 
 
@@ -824,15 +792,7 @@ def classify(
     oracle: OracleResult,
 ) -> ClassificationResult:
     """Match the small-root-system templates against the enumerated ideals."""
-    failed = []
-    if not part.maximal_length:
-        failed.append("maximal_length")
-    if not hyp.h_equals_h_lambda:
-        failed.append("h_equals_h_lambda")
-    if not hyp.lie_annihilator_zero:
-        failed.append("lie_annihilator_zero")
-    if not hyp.root_multiplicative:
-        failed.append("root_multiplicative")
+    failed = _unmet_hypotheses(part, hyp)
     if not conn["I"]["connected"]:
         failed.append("kernel_connectivity")
     if not conn["notI"]["connected"]:
@@ -850,11 +810,7 @@ def classify(
             characteristic=alg.field.characteristic,
             diagnostics=("enumeration inconclusive",),
         )
-    target_keys = {
-        space_key(alg.zero_graded()),
-        space_key(part.frak_i),
-        space_key(alg.full_graded()),
-    }
+    target_keys = _trivial_keys(alg, part)
     extras = [s for s in oracle.found_ideals if space_key(s) not in target_keys]
     for extra in extras:
         for matcher in (_match_case2, _match_case3, _match_case4):

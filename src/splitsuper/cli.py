@@ -11,10 +11,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Superalgebra, leibniz_kernel
 from .analysis import (
     DEFAULT_ORACLE_BOUND,
     ClassifyPreconditionError,
@@ -36,7 +34,6 @@ from .connections import (
 from .documents import DocumentError, canonical_json, parse_document
 from .fields import FieldError, parse_field_spec
 from .generators import fuzz_corpus, gen_example1, gen_example2
-from .linalg import Subspace
 from .reports import (
     SCHEMA_VERSION,
     classes_json,
@@ -50,23 +47,15 @@ from .reports import (
     partition_json,
     render_text,
     root_json,
+    slot_json,
+    split_error_json,
     split_json,
-    subspace_json,
     validation_json,
     vector_json,
     verdict_json,
     witness_json,
 )
-from .splitting import (
-    NotAbelianError,
-    NotGradedError,
-    NotSplitError,
-    Root,
-    SplitError,
-    partition_roots,
-    split,
-    verify_split_facts,
-)
+from .splitting import Root, SplitError, partition_roots, split, verify_split_facts
 
 
 class UsageError(Exception):
@@ -78,28 +67,6 @@ def _emit(report: dict, as_json: bool) -> None:
         sys.stdout.write(machine_json(report))
     else:
         sys.stdout.write(render_text(report))
-
-
-def _jsonable(field, obj):
-    from .algebra import GradedSubspace
-
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return field.format(obj)
-    if isinstance(obj, GradedSubspace):
-        return graded_json(field, obj)
-    if isinstance(obj, Subspace):
-        return subspace_json(field, obj)
-    if isinstance(obj, Root):
-        return root_json(field, obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(field, v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(x, (Fraction, int)) for x in obj):
-            return vector_json(field, obj)
-        return [_jsonable(field, x) for x in obj]
-    return str(obj)
 
 
 def _load(path: str, field_spec: str):
@@ -119,52 +86,19 @@ def _load(path: str, field_spec: str):
     return parse_document(obj, field_override=override)
 
 
-def _validated(alg: Superalgebra, report: dict, as_json: bool):
-    violations = alg.validate()
-    report["validation"] = validation_json(alg, violations)
-    if violations:
-        _emit(report, as_json)
-        return False
-    return True
-
-
-def _split_stage(alg, cartan, report: dict, as_json: bool):
-    if not cartan:
-        raise UsageError("document carries no subalgebra generators (cartan)")
-    try:
-        dec = split(alg, cartan)
-    except NotSplitError as exc:
-        report["split_error"] = {
-            "type": "NotSplit",
-            "kind": exc.kind,
-            "message": str(exc),
-            "witness": _jsonable(alg.field, exc.witness),
-        }
-        _emit(report, as_json)
-        return None
-    except NotGradedError as exc:
-        report["split_error"] = {
-            "type": "NotGraded",
-            "message": str(exc),
-            "witness": _jsonable(alg.field, exc.vector),
-        }
-        _emit(report, as_json)
-        return None
-    except NotAbelianError as exc:
-        report["split_error"] = {
-            "type": "NotAbelian",
-            "message": str(exc),
-            "witness": _jsonable(
-                alg.field, {"left": exc.left, "right": exc.right, "product": exc.product}
-            ),
-        }
-        _emit(report, as_json)
-        return None
-    except SplitError as exc:
-        report["split_error"] = {"type": "SplitError", "message": str(exc)}
-        _emit(report, as_json)
-        return None
-    return dec
+def _oracle_bound(flag) -> int:
+    """The --oracle-bound flag, else SLL_ORACLE_BOUND, else the default."""
+    if flag is None:
+        text = os.environ.get("SLL_ORACLE_BOUND")
+        if text is None:
+            return DEFAULT_ORACLE_BOUND
+        try:
+            flag = int(text)
+        except ValueError:
+            raise UsageError(f"SLL_ORACLE_BOUND must be an integer, got {text!r}") from None
+    if flag < 1:
+        raise UsageError(f"the oracle bound must be at least 1, got {flag}")
+    return flag
 
 
 def _parse_root(field, text: str, width: int) -> Root:
@@ -186,153 +120,128 @@ def _parse_slot(field, text: str, width: int):
     return _parse_root(field, values, width), int(parity)
 
 
-def cmd_check(args) -> int:
-    alg, _, _ = _load(args.file, args.field)
-    report = {"schema": SCHEMA_VERSION, "command": "check"}
-    if not _validated(alg, report, args.json):
-        return 1
-    _emit(report, args.json)
-    return 0
-
-
-def cmd_split(args) -> int:
+def cmd_report(args) -> int:
+    """check, split, connect, decompose and analyze: load, then run the
+    stages into one report, emitted once unless a usage or input error
+    ends the command first."""
+    if args.command == "analyze":
+        args.oracle_bound = _oracle_bound(args.oracle_bound)
     alg, cartan, _ = _load(args.file, args.field)
-    report = {"schema": SCHEMA_VERSION, "command": "split"}
-    if not _validated(alg, report, args.json):
+    report = {"schema": SCHEMA_VERSION, "command": args.command}
+    code = _run_stages(args, alg, cartan, report)
+    _emit(report, args.json)
+    return code
+
+
+def _run_stages(args, alg, cartan, report: dict) -> int:
+    """Validate, split, then the command's own stages; a failed stage exits 1."""
+    violations = alg.validate()
+    report["validation"] = validation_json(alg, violations)
+    if violations:
         return 1
-    dec = _split_stage(alg, cartan, report, args.json)
-    if dec is None:
+    if args.stages is None:
+        return 0
+    if not cartan:
+        raise UsageError("document carries no subalgebra generators (cartan)")
+    try:
+        dec = split(alg, cartan)
+    except SplitError as exc:
+        report["split_error"] = split_error_json(alg.field, exc)
         return 1
+    return args.stages(args, dec, report)
+
+
+def _split_stages(args, dec, report: dict) -> int:
+    f = dec.algebra.field
     report["split"] = split_json(dec)
     facts = verify_split_facts(dec)
     report["split_facts_ok"] = not facts
     if facts:
         report["split_fact_violations"] = [
             {
-                "left": {"root": vector_json(alg.field, v.left[0]), "parity": v.left[1]},
-                "right": {"root": vector_json(alg.field, v.right[0]), "parity": v.right[1]},
-                "product": vector_json(alg.field, v.product),
+                "left": {"root": vector_json(f, v.left[0]), "parity": v.left[1]},
+                "right": {"root": vector_json(f, v.right[0]), "parity": v.right[1]},
+                "product": vector_json(f, v.product),
             }
             for v in facts
         ]
-        _emit(report, args.json)
-        return 1
-    _emit(report, args.json)
-    return 0
+    return 1 if facts else 0
 
 
-def cmd_connect(args) -> int:
-    alg, cartan, _ = _load(args.file, args.field)
-    f = alg.field
-    report = {"schema": SCHEMA_VERSION, "command": "connect"}
-    if not _validated(alg, report, args.json):
-        return 1
-    dec = _split_stage(alg, cartan, report, args.json)
-    if dec is None:
-        return 1
+def _connect_stages(args, dec, report: dict) -> int:
+    f = dec.algebra.field
     width = len(dec.h0_basis)
+    if bool(args.from_root) != bool(args.to_root):
+        raise UsageError("--from and --to must be given together")
     if args.neg_i:
-        part = partition_roots(dec, leibniz_kernel(alg))
+        part = partition_roots(dec, dec.algebra.leibniz_kernel)
         report["partition"] = partition_json(f, part)
-        if args.from_root or args.to_root:
-            if not (args.from_root and args.to_root):
-                raise UsageError("--from and --to must be given together")
-            a = _parse_slot(f, args.from_root, width)
-            b = _parse_slot(f, args.to_root, width)
-            try:
-                w = neg_i_connected(dec, part, a, b, args.upsilon)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            report["query"] = {
-                "from": {"root": root_json(f, a[0]), "parity": a[1]},
-                "to": {"root": root_json(f, b[0]), "parity": b[1]},
-                "upsilon": args.upsilon,
-                "connected": w is not None,
+    if args.from_root and args.neg_i:
+        a = _parse_slot(f, args.from_root, width)
+        b = _parse_slot(f, args.to_root, width)
+        try:
+            w = neg_i_connected(dec, part, a, b, args.upsilon)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        report["query"] = {
+            "from": slot_json(f, a),
+            "to": slot_json(f, b),
+            "upsilon": args.upsilon,
+            "connected": w is not None,
+        }
+        if w is not None:
+            report["witness"] = graded_witness_json(f, w)
+    elif args.from_root:
+        a = _parse_root(f, args.from_root, width)
+        b = _parse_root(f, args.to_root, width)
+        if not dec.is_root(a) or not dec.is_root(b):
+            raise UsageError("both endpoints must be roots of the decomposition")
+        w = connected(dec, a, b)
+        report["query"] = {
+            "from": root_json(f, a),
+            "to": root_json(f, b),
+            "connected": w is not None,
+        }
+        if w is not None:
+            report["witness"] = witness_json(f, w)
+    elif args.neg_i:
+        rendered = {}
+        for side, info in connectivity_summary(dec, part).items():
+            chains = {}
+            for (a, b), w in sorted(info["witnesses"].items()):
+                key = "{}:{} -> {}:{}".format(
+                    ",".join(root_json(f, a[0])), a[1],
+                    ",".join(root_json(f, b[0])), b[1],
+                )
+                chains[key] = graded_witness_json(f, w)
+            failing = info["failing_pair"]
+            rendered[side] = {
+                "connected": info["connected"],
+                "failing_pair": [slot_json(f, s) for s in failing] if failing else None,
+                "witnesses": chains,
             }
-            if w is not None:
-                report["witness"] = graded_witness_json(f, w)
-        else:
-            summary = connectivity_summary(dec, part)
-            rendered = {}
-            for side, info in summary.items():
-                chains = {}
-                for (a, b), w in sorted(
-                    info["witnesses"].items(),
-                    key=lambda kv: (kv[0][0][0], kv[0][0][1], kv[0][1][0], kv[0][1][1]),
-                ):
-                    key = "{}:{} -> {}:{}".format(
-                        ",".join(root_json(f, a[0])), a[1],
-                        ",".join(root_json(f, b[0])), b[1],
-                    )
-                    chains[key] = graded_witness_json(f, w)
-                rendered[side] = {
-                    "connected": info["connected"],
-                    "failing_pair": _jsonable(
-                        f,
-                        [
-                            {"root": s[0], "parity": s[1]}
-                            for s in (info["failing_pair"] or ())
-                        ],
-                    )
-                    or None,
-                    "witnesses": chains,
-                }
-            report["connectivity"] = rendered
+        report["connectivity"] = rendered
     else:
-        if args.from_root or args.to_root:
-            if not (args.from_root and args.to_root):
-                raise UsageError("--from and --to must be given together")
-            a = _parse_root(f, args.from_root, width)
-            b = _parse_root(f, args.to_root, width)
-            if not dec.is_root(a) or not dec.is_root(b):
-                raise UsageError("both endpoints must be roots of the decomposition")
-            w = connected(dec, a, b)
-            report["query"] = {
-                "from": root_json(f, a),
-                "to": root_json(f, b),
-                "connected": w is not None,
-            }
-            if w is not None:
-                report["witness"] = witness_json(f, w)
-        else:
-            classes = connection_classes(dec)
-            report["classes"] = classes_json(
-                f, classes, witness_lookup=lambda x, y: connected(dec, x, y)
-            )
-    _emit(report, args.json)
+        report["classes"] = classes_json(
+            f, connection_classes(dec), witness_lookup=lambda x, y: connected(dec, x, y)
+        )
     return 0
 
 
-def cmd_decompose(args) -> int:
-    alg, cartan, _ = _load(args.file, args.field)
-    report = {"schema": SCHEMA_VERSION, "command": "decompose"}
-    if not _validated(alg, report, args.json):
-        return 1
-    dec = _split_stage(alg, cartan, report, args.json)
-    if dec is None:
-        return 1
+def _decompose_stages(args, dec, report: dict) -> int:
     try:
         result = decompose(dec)
     except VerificationError as exc:
         report["error"] = {"type": "VerificationError", "message": str(exc)}
-        _emit(report, args.json)
         return 1
-    report["decomposition"] = decomposition_json(alg.field, result)
-    _emit(report, args.json)
+    report["decomposition"] = decomposition_json(dec.algebra.field, result)
     return 0
 
 
-def cmd_analyze(args) -> int:
-    alg, cartan, _ = _load(args.file, args.field)
-    f = alg.field
-    report = {"schema": SCHEMA_VERSION, "command": "analyze"}
-    if not _validated(alg, report, args.json):
-        return 1
-    dec = _split_stage(alg, cartan, report, args.json)
-    if dec is None:
-        return 1
+def _analyze_stages(args, dec, report: dict) -> int:
+    f = dec.algebra.field
     report["split"] = split_json(dec)
-    part = partition_roots(dec, leibniz_kernel(alg))
+    part = partition_roots(dec, dec.algebra.leibniz_kernel)
     report["partition"] = partition_json(f, part)
     conn = connectivity_summary(dec, part)
     report["connectivity"] = {
@@ -344,16 +253,13 @@ def cmd_analyze(args) -> int:
         theorem = theorem_verdict(dec, part, hyp, conn)
     except VerificationError as exc:
         report["error"] = {"type": "VerificationError", "message": str(exc)}
-        _emit(report, args.json)
         return 1
     report["theorem_mode"] = verdict_json(f, theorem)
 
-    bound = args.oracle_bound
-    if bound is None:
-        bound = int(os.environ.get("SLL_ORACLE_BOUND", DEFAULT_ORACLE_BOUND))
-    oracle = None
+    verdicts = {theorem.verdict}
     if part.maximal_length:
-        oracle = oracle_verdict(dec, part, bound)
+        oracle = oracle_verdict(dec, part, args.oracle_bound)
+        verdicts.add(oracle.verdict)
         report["oracle"] = oracle_json(f, oracle)
         checks = lemma_checks(dec, part, hyp, conn, oracle)
         report["lemma_checks"] = {
@@ -363,16 +269,7 @@ def cmd_analyze(args) -> int:
             ],
         }
         if checks:
-            _emit(report, args.json)
             return 1
-    else:
-        report["oracle"] = {
-            "verdict": "Undetermined",
-            "skipped": True,
-            "notes": ["enumeration requires one-dimensional slots"],
-        }
-
-    if oracle is not None:
         try:
             outcome = classify(dec, part, hyp, conn, oracle)
             report["classification"] = classification_json(f, outcome)
@@ -382,16 +279,17 @@ def cmd_analyze(args) -> int:
                 "unmet_preconditions": list(exc.failed),
             }
     else:
+        report["oracle"] = {
+            "verdict": "Undetermined",
+            "skipped": True,
+            "notes": ["enumeration requires one-dimensional slots"],
+        }
         report["classification"] = {
             "skipped": True,
             "unmet_preconditions": ["maximal_length"],
         }
-
-    _emit(report, args.json)
-    if args.expect_simple:
-        oracle_simple = oracle is not None and oracle.verdict == "Simple"
-        if not (theorem.verdict == "Simple" or oracle_simple):
-            return 1
+    if args.expect_simple and "Simple" not in verdicts:
+        return 1
     return 0
 
 
@@ -446,11 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[shared], help="validate the identity and grading")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_report, stages=None)
 
     p = sub.add_parser("split", parents=[shared], help="root-space decomposition")
     p.add_argument("file")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_report, stages=_split_stages)
 
     p = sub.add_parser("connect", parents=[shared], help="connections and classes")
     p.add_argument("file")
@@ -458,17 +356,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_root", default=None, metavar="ROOT")
     p.add_argument("--neg-i", action="store_true", help="graded kernel-avoiding chains")
     p.add_argument("--upsilon", choices=["I", "notI"], default="notI")
-    p.set_defaults(func=cmd_connect)
+    p.set_defaults(func=cmd_report, stages=_connect_stages)
 
     p = sub.add_parser("decompose", parents=[shared], help="ideal decomposition by classes")
     p.add_argument("file")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_report, stages=_decompose_stages)
 
     p = sub.add_parser("analyze", parents=[shared], help="full simplicity pipeline")
     p.add_argument("file")
     p.add_argument("--oracle-bound", type=int, default=None)
     p.add_argument("--expect-simple", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_report, stages=_analyze_stages)
 
     p = sub.add_parser("gen", parents=[shared], help="emit a named example document")
     p.add_argument("which", choices=["example1", "example2"])
@@ -490,22 +388,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleBoundExceeded as exc:
+    except (UsageError, DocumentError, FieldError, OracleBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import GradedSubspace, Superalgebra, center, derived_subalgebra
+from .algebra import GradedSubspace, Superalgebra
 from .linalg import Subspace, vec_is_zero
 from .splitting import Root, RootPartition, SplitDecomposition
 
@@ -215,18 +215,17 @@ def decompose(dec: SplitDecomposition) -> ClassDecomposition:
     for ci in ideals:
         h_lambda = h_lambda.plus(ci.h_part)
 
-    u_even, cur = [], h_lambda.even
-    for v in dec.cartan.even.basis:
-        if not cur.contains_vector(v):
-            u_even.append(v)
-            cur = cur.plus(Subspace.span(f, alg.dim, [v]))
-    u_odd, cur = [], h_lambda.odd
-    for v in dec.cartan.odd.basis:
-        if not cur.contains_vector(v):
-            u_odd.append(v)
-            cur = cur.plus(Subspace.span(f, alg.dim, [v]))
+    def complement(inside: Subspace, whole: Subspace) -> Subspace:
+        """Span of the basis vectors of whole that extend inside greedily."""
+        chosen = []
+        for v in whole.basis:
+            if not inside.contains_vector(v):
+                chosen.append(v)
+                inside = inside.plus(Subspace.span(f, alg.dim, [v]))
+        return Subspace.span(f, alg.dim, chosen)
+
     u_space = GradedSubspace(
-        Subspace.span(f, alg.dim, u_even), Subspace.span(f, alg.dim, u_odd)
+        complement(h_lambda.even, dec.cartan.even), complement(h_lambda.odd, dec.cartan.odd)
     )
     if u_space.dim + h_lambda.dim != dec.cartan.dim:
         raise VerificationError("complement construction failed", u_space)
@@ -249,7 +248,7 @@ def decompose(dec: SplitDecomposition) -> ClassDecomposition:
                             "two class ideals have a nonzero product", (ci.roots, cj.roots, prod)
                         )
 
-    applies = center(alg).is_zero() and derived_subalgebra(alg).dim == alg.dim
+    applies = alg.center.is_zero() and alg.derived_subalgebra.dim == alg.dim
     direct = False
     if applies:
         direct = u_space.is_zero() and sum(ci.ideal.dim for ci in ideals) == alg.dim

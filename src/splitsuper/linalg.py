@@ -266,10 +266,8 @@ def char_poly(mat: Matrix) -> list:
     """Characteristic polynomial det(xI - A), coefficients high to low.
 
     Faddeev-LeVerrier: exact, division only by integers 1..n, which is
-    fine over ℚ and over 𝔽_p when p > n (enforced by the caller's use;
-    over small p we fall back to Gaussian elimination on x-shifted
-    matrices only implicitly via the exhaustive scan, so this routine is
-    only invoked over ℚ).
+    fine over ℚ and over 𝔽_p when p > n. Only the ℚ eigenvalue search
+    calls it; over 𝔽_p eigenvalues come from an exhaustive scan.
     """
     f = mat.field
     n = mat.nrows

@@ -15,7 +15,15 @@ from .analysis import (
 from .connections import ClassDecomposition, ConnectionWitness, GradedConnectionWitness
 from .fields import Field
 from .linalg import Subspace
-from .splitting import Root, RootPartition, SplitDecomposition
+from .splitting import (
+    NotAbelianError,
+    NotGradedError,
+    NotSplitError,
+    Root,
+    RootPartition,
+    SplitDecomposition,
+    SplitError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +84,32 @@ def split_json(dec: SplitDecomposition) -> dict:
         "cartan": graded_json(f, dec.cartan),
         "roots": roots,
     }
+
+
+def _witness_json(field: Field, obj):
+    """A split-error witness: vectors and lists of them, graded spaces, counts."""
+    if isinstance(obj, GradedSubspace):
+        return graded_json(field, obj)
+    if isinstance(obj, dict):
+        return {key: _witness_json(field, value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if obj and not isinstance(obj[0], (list, tuple)):
+            return vector_json(field, obj)
+        return [_witness_json(field, x) for x in obj]
+    return obj
+
+
+def split_error_json(field: Field, exc: SplitError) -> dict:
+    if isinstance(exc, NotSplitError):
+        head, witness = {"type": "NotSplit", "kind": exc.kind}, exc.witness
+    elif isinstance(exc, NotGradedError):
+        head, witness = {"type": "NotGraded"}, exc.vector
+    elif isinstance(exc, NotAbelianError):
+        head = {"type": "NotAbelian"}
+        witness = {"left": exc.left, "right": exc.right, "product": exc.product}
+    else:
+        return {"type": "SplitError", "message": str(exc)}
+    return {**head, "message": str(exc), "witness": _witness_json(field, witness)}
 
 
 def partition_json(field: Field, part: RootPartition) -> dict:

@@ -41,7 +41,8 @@ class NotAbelianError(SplitError):
 
 
 class NotSplitError(SplitError):
-    """kind is one of: eigenvalues_missing, zero_space_mismatch, piece_not_graded."""
+    """kind is one of: eigenvalues_missing, zero_space_mismatch, piece_not_graded,
+    piece_not_invariant, covering_failure."""
 
     def __init__(self, kind: str, witness, message: str):
         self.kind = kind

@@ -228,6 +228,65 @@ class TestAnalyze:
         assert code == 0
         assert report["oracle"]["candidates_checked"] == 32
 
+    def test_non_integer_env_bound_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SLL_ORACLE_BOUND", "abc")
+        path = write_doc(tmp_path, FIVE_DIM_DOC)
+        assert main(["analyze", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SLL_ORACLE_BOUND" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_nonpositive_bound_is_refused_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, bound
+    ):
+        calls = []
+        monkeypatch.setattr(ss.Superalgebra, "validate", lambda alg: calls.append(alg))
+        path = write_doc(tmp_path, FIVE_DIM_DOC)
+        assert main(["analyze", path, "--oracle-bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 1" in captured.err
+        assert calls == []
+        monkeypatch.setenv("SLL_ORACLE_BOUND", bound)
+        assert main(["analyze", path]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert calls == []
+
+
+class TestInvariantsOnce:
+    """Each algebra invariant is computed once per command, whoever reads it."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name: str) -> list:
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_analyze_computes_center_and_annihilator_once(self, tmp_path, capsys, monkeypatch):
+        centers = self.count_calls(monkeypatch, ss.algebra, "center")
+        annihilators = self.count_calls(monkeypatch, ss.analysis, "lie_annihilator")
+        path = write_doc(tmp_path, two_block_doc())
+        code, report = run_json(capsys, ["analyze", path])
+        assert code == 0
+        assert "lemma_checks" in report
+        assert len(centers) == 1
+        assert len(annihilators) == 1
+
+    def test_decompose_computes_center_once(self, tmp_path, capsys, monkeypatch):
+        centers = self.count_calls(monkeypatch, ss.algebra, "center")
+        path = write_doc(tmp_path, two_block_doc())
+        code, _ = run_json(capsys, ["decompose", path])
+        assert code == 0
+        assert len(centers) == 1
+
 
 class TestGen:
     def test_example1_to_stdout_is_canonical(self, capsys):
