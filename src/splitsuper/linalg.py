@@ -274,12 +274,11 @@ def char_poly(mat: Matrix) -> list:
     if n != mat.ncols:
         raise ValueError("char_poly needs a square matrix")
     coeffs = [f.one()]
-    m = Matrix.zeros(f, n, n)
+    prod = Matrix.zeros(f, n, n)  # A M_0, with M_0 = 0
     c = f.one()
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        m = mat.mul(m).add_scaled(Matrix.identity(f, n), c)
-        prod = mat.mul(m)
+        # M_k = A M_{k-1} + c_{k-1} I; A M_k serves for c_k and for M_{k+1}.
+        prod = mat.mul(prod.add_scaled(Matrix.identity(f, n), c))
         c = f.div(f.neg(prod.trace()), f.from_int(k))
         coeffs.append(c)
     return coeffs
