@@ -12,18 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    kernel_basis,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
+from .linalg import Matrix, Subspace, Vector, kernel_basis, unit_vector
 
 
 @dataclass(frozen=True)
@@ -110,65 +99,101 @@ class Superalgebra:
     def basis_product(self, i: int, j: int) -> Vector:
         out = [self.field.zero()] * self.dim
         for k, c in self.table.get((i, j), ()):
-            out[k] = self.field.add(out[k], c)
-        return tuple(out)
+            out[k] += c
+        return self.field.reduce(out)
 
     def product(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length must equal dim")
-        f = self.field
-        out = [f.zero()] * self.dim
+        table = self.table
+        out = [self.field.zero()] * self.dim
+        y_terms = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
-            if f.is_zero(a):
+            if not a:
                 continue
-            for j, b in enumerate(y):
-                if f.is_zero(b):
-                    continue
-                coef = f.mul(a, b)
-                for k, c in self.table.get((i, j), ()):
-                    out[k] = f.add(out[k], f.mul(coef, c))
-        return tuple(out)
+            for j, b in y_terms:
+                entries = table.get((i, j))
+                if entries:
+                    coef = a * b
+                    for k, c in entries:
+                        out[k] += coef * c
+        return self.field.reduce(out)
+
+    def basis_brackets(self, w: Vector) -> tuple[list, list]:
+        """([b_i, w] for each i, [w, b_i] for each i), read off the table's
+        nonzeros in one pass."""
+        n = self.dim
+        zero = self.field.zero()
+        left = [[zero] * n for _ in range(n)]
+        right = [[zero] * n for _ in range(n)]
+        for (i, j), entries in self.table.items():
+            a, b = w[j], w[i]
+            if a:
+                row = left[i]
+                for k, c in entries:
+                    row[k] += a * c
+            if b:
+                row = right[j]
+                for k, c in entries:
+                    row[k] += b * c
+        reduce = self.field.reduce
+        return [reduce(r) for r in left], [reduce(r) for r in right]
 
     def right_mult_matrix(self, y: Vector) -> Matrix:
         """Matrix of x -> [x, y] on the basis."""
-        cols = [self.product(unit_vector(self.field, self.dim, i), y) for i in range(self.dim)]
+        cols, _ = self.basis_brackets(y)
         return Matrix.from_rows(self.field, list(zip(*cols)))
 
     def left_mult_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] on the basis."""
-        cols = [self.product(x, unit_vector(self.field, self.dim, j)) for j in range(self.dim)]
+        _, cols = self.basis_brackets(x)
         return Matrix.from_rows(self.field, list(zip(*cols)))
 
     def validate(self) -> list[Violation]:
-        """Grading compatibility on table entries, then the identity on basis triples."""
+        """Grading compatibility on table entries, then the identity on basis
+        triples, each residual summed from table entries."""
         f = self.field
+        n = self.dim
+        parity = self.parity
         violations: list[Violation] = []
         for (i, j), entries in sorted(self.table.items()):
-            expected = (self.parity[i] + self.parity[j]) % 2
-            bad = [f.zero()] * self.dim
+            expected = (parity[i] + parity[j]) % 2
+            bad = [f.zero()] * n
             dirty = False
             for k, c in entries:
-                if not f.is_zero(c) and self.parity[k] != expected:
-                    bad[k] = f.add(bad[k], c)
+                if c and parity[k] != expected:
+                    bad[k] += c
                     dirty = True
             if dirty:
-                violations.append(Violation("grading", (i, j), tuple(bad)))
+                violations.append(Violation("grading", (i, j), f.reduce(bad)))
         if violations:
             return violations
-        prods = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prods[(i, j)] = self.basis_product(i, j)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.product(unit_vector(f, self.dim, i), prods[(j, k)])
-                    r1 = self.product(prods[(i, j)], unit_vector(f, self.dim, k))
-                    r2 = self.product(prods[(i, k)], unit_vector(f, self.dim, j))
-                    sign_neg = (self.parity[j] * self.parity[k]) % 2 == 1
-                    rhs = vec_add(f, r1, r2) if sign_neg else vec_sub(f, r1, r2)
-                    residual = vec_sub(f, lhs, rhs)
-                    if not vec_is_zero(f, residual):
+        get = self.table.get
+        for i in range(n):
+            for j in range(n):
+                ij = get((i, j), ())
+                for k in range(n):
+                    jk, ik = get((j, k), ()), get((i, k), ())
+                    if not (ij or jk or ik):
+                        continue
+                    # [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - s [[b_i,b_k],b_j], with
+                    # s = 1 when b_j and b_k are both odd and s = -1 otherwise.
+                    odd_pair = parity[j] & parity[k]
+                    out = [f.zero()] * n
+                    for m, c in jk:
+                        for r, d in get((i, m), ()):
+                            out[r] += c * d
+                    for m, c in ij:
+                        for r, d in get((m, k), ()):
+                            out[r] -= c * d
+                    for m, c in ik:
+                        for r, d in get((m, j), ()):
+                            if odd_pair:
+                                out[r] -= c * d
+                            else:
+                                out[r] += c * d
+                    residual = f.reduce(out)
+                    if any(residual):
                         violations.append(Violation("identity", (i, j, k), residual))
         if not violations:
             object.__setattr__(self, "validated", True)
@@ -212,15 +237,13 @@ class Superalgebra:
 
 def generated_ideal(alg: Superalgebra, gens: GradedSubspace) -> GradedSubspace:
     """Least graded two-sided ideal containing gens, by fixpoint closure."""
-    basis = [unit_vector(alg.field, alg.dim, i) for i in range(alg.dim)]
     current = gens
     while True:
         vectors = current.basis_vectors()
         new_vectors = list(vectors)
         for w in vectors:
-            for b in basis:
-                new_vectors.append(alg.product(w, b))
-                new_vectors.append(alg.product(b, w))
+            for side in alg.basis_brackets(w):
+                new_vectors.extend(side)
         grown = alg.graded_span(new_vectors)
         if grown.dim == current.dim:
             return grown
@@ -236,38 +259,35 @@ def leibniz_kernel(alg: Superalgebra) -> GradedSubspace:
     gens = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            fwd = alg.basis_product(i, j)
-            bwd = alg.basis_product(j, i)
-            sign_neg = (alg.parity[i] * alg.parity[j]) % 2 == 1
-            g = vec_sub(f, fwd, bwd) if sign_neg else vec_add(f, fwd, bwd)
-            if not vec_is_zero(f, g):
-                gens.append(g)
+            sign = 1 if alg.parity[i] & alg.parity[j] else -1
+            gens.append(f.axpy(alg.basis_product(i, j), sign, alg.basis_product(j, i)))
     return generated_ideal(alg, alg.graded_span(gens))
 
 
 def annihilates_from_right(alg: Superalgebra, space: GradedSubspace) -> bool:
     """True iff [x, w] = 0 for every x in the algebra and w in space."""
-    f = alg.field
-    for w in space.basis_vectors():
-        for i in range(alg.dim):
-            if not vec_is_zero(f, alg.product(unit_vector(f, alg.dim, i), w)):
-                return False
-    return True
+    return not any(
+        any(v) for w in space.basis_vectors() for v in alg.basis_brackets(w)[0]
+    )
 
 
 def center(alg: Superalgebra) -> GradedSubspace:
-    """{x : [x, b] = 0 = [b, x] for every basis vector b}, as a graded subspace."""
+    """{x : [x, b] = 0 = [b, x] for every basis vector b}, as a graded subspace.
+
+    One equation per output coordinate r of [x, b_j] and of [b_i, x], each
+    read straight off the table.
+    """
     f = alg.field
-    stacked_rows: list = []
-    for k in range(alg.dim):
-        b = unit_vector(f, alg.dim, k)
-        stacked_rows.extend(alg.right_mult_matrix(b).rows)
-        stacked_rows.extend(alg.left_mult_matrix(b).rows)
-    mat = Matrix.from_rows(f, stacked_rows) if stacked_rows else Matrix.zeros(f, 0, alg.dim)
+    n = alg.dim
+    rows: dict = {}
+    for (i, j), entries in alg.table.items():
+        for r, c in entries:
+            rows.setdefault((0, j, r), [f.zero()] * n)[i] += c
+            rows.setdefault((1, i, r), [f.zero()] * n)[j] += c
+    mat = Matrix(f, tuple(f.reduce(row) for row in rows.values()), n)
     return alg.graded_span(kernel_basis(f, mat))
 
 
 def derived_subalgebra(alg: Superalgebra) -> GradedSubspace:
     """Span of all basis-pair products."""
-    prods = [alg.basis_product(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-    return alg.graded_span([p for p in prods if not vec_is_zero(alg.field, p)])
+    return alg.graded_span(alg.basis_product(i, j) for i, j in alg.table)

@@ -18,7 +18,7 @@ from .connections import (
     is_graded_ideal,
     is_subalgebra,
 )
-from .linalg import Matrix, Subspace, kernel_basis, vec_is_zero
+from .linalg import Matrix, Subspace, kernel_basis
 from .splitting import RootPartition, SplitDecomposition
 
 DEFAULT_ORACLE_BOUND = 2**20
@@ -38,7 +38,7 @@ def _slot_product(alg: Superalgebra, a: Subspace, b: Subspace) -> list:
     for x in a.basis:
         for y in b.basis:
             p = alg.product(x, y)
-            if not vec_is_zero(alg.field, p):
+            if any(p):
                 out.append(p)
     return out
 
@@ -89,8 +89,8 @@ def lie_annihilator(dec: SplitDecomposition, part: RootPartition) -> GradedSubsp
             continue
         even, odd = dec.root_space(root)
         for w in list(even.basis) + list(odd.basis):
-            rows.extend(alg.right_mult_matrix(w).rows)
-            rows.extend(alg.left_mult_matrix(w).rows)
+            for side in alg.basis_brackets(w):
+                rows.extend(zip(*side))
     if not rows:
         return alg.full_graded()
     result = alg.graded_span(kernel_basis(f, Matrix.from_rows(f, rows)))
@@ -111,9 +111,7 @@ def h_lambda_space(dec: SplitDecomposition) -> GradedSubspace:
         neg_even, neg_odd = dec.root_space(neg)
         for x in list(even.basis) + list(odd.basis):
             for y in list(neg_even.basis) + list(neg_odd.basis):
-                p = alg.product(x, y)
-                if not vec_is_zero(alg.field, p):
-                    gens.append(p)
+                gens.append(alg.product(x, y))
     return alg.graded_span(gens)
 
 
@@ -291,7 +289,7 @@ def oracle_verdict(
             if not (r1 + r2).is_zero():
                 continue
             v = alg.product(slot_vec[i], slot_vec[j])
-            if vec_is_zero(f, v):
+            if not any(v):
                 continue
             if not dec.cartan.contains_vector(v, parity):
                 raise VerificationError("opposite-slot product escaped the subalgebra", v)
@@ -342,7 +340,7 @@ def oracle_verdict(
         for j in range(n_slots):
             r2, p2 = slots[j]
             v = alg.product(slot_vec[i], slot_vec[j])
-            if vec_is_zero(f, v):
+            if not any(v):
                 continue
             total = r1 + r2
             t_parity = (p1 + p2) % 2
@@ -360,7 +358,7 @@ def oracle_verdict(
         r = slots[t][0]
         hits = set()
         for v in (alg.product(slot_vec[t], h), alg.product(h, slot_vec[t])):
-            if vec_is_zero(f, v):
+            if not any(v):
                 continue
             targets = [
                 slot_index[(r, q)]

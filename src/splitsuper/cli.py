@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -383,9 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Write `--from -1,0` as `--from=-1,0`: argparse takes a value that
+    starts with "-" and is not a plain number for an option, unless it is
+    attached with "="."""
+    out: list = []
+    for token in argv:
+        if out and out[-1] in ("--from", "--to") and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (UsageError, DocumentError, FieldError, OracleBoundExceeded) as exc:

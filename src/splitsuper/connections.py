@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .algebra import GradedSubspace, Superalgebra
-from .linalg import Subspace, vec_is_zero
+from .linalg import Subspace
 from .splitting import Root, RootPartition, SplitDecomposition
 
 
@@ -146,12 +146,9 @@ def is_graded_ideal(alg: Superalgebra, space: GradedSubspace) -> bool:
     """Two-sided product closure check on basis vectors."""
     parity = list(alg.parity)
     for w in space.basis_vectors():
-        for i in range(alg.dim):
-            basis_vec = tuple(
-                alg.field.one() if j == i else alg.field.zero() for j in range(alg.dim)
-            )
-            for prod in (alg.product(w, basis_vec), alg.product(basis_vec, w)):
-                if not vec_is_zero(alg.field, prod) and not space.contains_vector(prod, parity):
+        for side in alg.basis_brackets(w):
+            for prod in side:
+                if any(prod) and not space.contains_vector(prod, parity):
                     return False
     return True
 
@@ -162,14 +159,13 @@ def is_subalgebra(alg: Superalgebra, space: GradedSubspace) -> bool:
     for x in vectors:
         for y in vectors:
             prod = alg.product(x, y)
-            if not vec_is_zero(alg.field, prod) and not space.contains_vector(prod, parity):
+            if any(prod) and not space.contains_vector(prod, parity):
                 return False
     return True
 
 
 def class_ideal(dec: SplitDecomposition, cls) -> ClassIdeal:
     alg = dec.algebra
-    f = alg.field
     h_gens = []
     v_gens = []
     for root in cls:
@@ -182,7 +178,7 @@ def class_ideal(dec: SplitDecomposition, cls) -> ClassIdeal:
             for x in list(even.basis) + list(odd.basis):
                 for y in list(neg_even.basis) + list(neg_odd.basis):
                     h_gens.append(alg.product(x, y))
-    h_part = alg.graded_span([g for g in h_gens if not vec_is_zero(f, g)])
+    h_part = alg.graded_span(h_gens)
     v_part = alg.graded_span(v_gens)
     if not dec.cartan.contains(h_part):
         raise VerificationError("class subalgebra part escapes the splitting subalgebra", h_part)
@@ -243,7 +239,7 @@ def decompose(dec: SplitDecomposition) -> ClassDecomposition:
             for x in ci.ideal.basis_vectors():
                 for y in cj.ideal.basis_vectors():
                     prod = alg.product(x, y)
-                    if not vec_is_zero(f, prod):
+                    if any(prod):
                         raise VerificationError(
                             "two class ideals have a nonzero product", (ci.roots, cj.roots, prod)
                         )

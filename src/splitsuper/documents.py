@@ -104,7 +104,7 @@ def parse_document(obj, field_override: Field = None):
                 raise DocumentError(f"duplicate coefficient for k={k}", spot)
             seen.add(k)
             c = _parse_scalar(field, term[1], spot)
-            if field.is_zero(c):
+            if not c:
                 continue
             if parity[k] != expected:
                 raise DocumentError(
@@ -129,7 +129,7 @@ def parse_document(obj, field_override: Field = None):
             parsed = tuple(
                 _parse_scalar(field, x, f"{where}[{m}]") for m, x in enumerate(vec)
             )
-            parities = {parity[m] for m, x in enumerate(parsed) if not field.is_zero(x)}
+            parities = {parity[m] for m, x in enumerate(parsed) if x}
             if len(parities) > 1:
                 raise DocumentError("cartan vector mixes parities", where)
             cartan.append(parsed)
@@ -149,7 +149,7 @@ def document_from_algebra(
     f = alg.field
     products = []
     for (i, j), entries in sorted(alg.table.items()):
-        kept = [[k, f.format(c)] for k, c in sorted(entries) if not f.is_zero(c)]
+        kept = [[k, f.format(c)] for k, c in sorted(entries) if c]
         if kept:
             products.append([i, j, kept])
     doc = {

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
 Scalars are plain Python values (fractions.Fraction over the rationals,
-canonical residues in range(p) over a prime field); the field object
-supplies the operations, parsing and canonical formatting.
+canonical residues in range(p) over a prime field) and combine with
+Python's operators.  This is the only module that knows how they differ:
+each field supplies `reduce` (the identity over Q, `% p` over F_p), the
+row operations `scale` and `axpy` that linalg is built on, `inv`, and
+parsing and canonical formatting.  Both fields read one scalar grammar,
+that of fractions.Fraction; a prime field maps num/den to num * den^-1.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _parse_fraction(s: str, field) -> Fraction:
+    """The scalar grammar of every field: what fractions.Fraction reads."""
+    try:
+        return Fraction(str(s).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FieldError(f"cannot parse scalar {s!r} over {field}") from exc
+
+
 @dataclass(frozen=True)
 class Rationals:
     """The rational field; scalars are fractions.Fraction values."""
@@ -46,39 +58,24 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
+    def reduce(self, values) -> tuple:
+        return tuple(values)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def scale(self, c, row) -> list:
+        """c * row; zero entries are kept as they are."""
+        return [c * x if x else x for x in row]
+
+    def axpy(self, row, a, other) -> list:
+        """row - a * other; entries where other is zero are copied."""
+        return [x - a * y if y else x for x, y in zip(row, other)]
 
     def parse(self, s: str):
-        try:
-            return Fraction(str(s).strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"cannot parse rational scalar {s!r}") from exc
+        return _parse_fraction(s, self)
 
     def format(self, a) -> str:
         return str(a)
@@ -114,44 +111,30 @@ class PrimeField:
     def one(self):
         return 1
 
-    def from_int(self, n: int):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def reduce(self, values) -> tuple:
+        p = self.p
+        return tuple([x % p for x in values])
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+    def scale(self, c, row) -> list:
+        p = self.p
+        return [c * x % p for x in row]
+
+    def axpy(self, row, a, other) -> list:
+        p = self.p
+        return [(x - a * y) % p for x, y in zip(row, other)]
 
     def parse(self, s: str):
-        text = str(s).strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
-            return int(text) % self.p
-        except ZeroDivisionError as exc:
-            raise FieldError(f"scalar {s!r} has denominator divisible by {self.p}") from exc
-        except ValueError as exc:
-            raise FieldError(f"cannot parse scalar {s!r} over F_{self.p}") from exc
+        """A rational in the grammar of Rationals.parse, read mod p."""
+        q = _parse_fraction(s, self)
+        if q.denominator % self.p == 0:
+            raise FieldError(f"scalar {s!r} has denominator divisible by {self.p}")
+        return q.numerator * self.inv(q.denominator) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import Superalgebra
 from .documents import document_from_algebra, parse_document
 from .fields import Rationals
-from .linalg import rref
+from .linalg import Matrix, rref
 
 _Q = Rationals()
 
@@ -190,23 +190,14 @@ def change_basis_doc(doc: dict, rng: random.Random) -> dict:
     dim = alg.dim
     int_cols = _random_parity_change(rng, list(alg.parity))
     cols = [[f.parse(str(x)) for x in col] for col in int_cols]
-    inv_rows = _invert(f, cols)
-
-    def to_new(v):
-        out = []
-        for j in range(dim):
-            acc = f.zero()
-            for i in range(dim):
-                acc = f.add(acc, f.mul(inv_rows[j][i], v[i]))
-            out.append(acc)
-        return tuple(out)
+    to_new = Matrix.from_rows(f, _invert(f, cols)).apply
 
     table = {}
     for i in range(dim):
         for j in range(dim):
             prod = alg.product(tuple(cols[i]), tuple(cols[j]))
             coords = to_new(prod)
-            entries = tuple((k, c) for k, c in enumerate(coords) if not f.is_zero(c))
+            entries = tuple((k, c) for k, c in enumerate(coords) if c)
             if entries:
                 table[(i, j)] = entries
     new_alg = Superalgebra(f, dim, alg.parity, table)

@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over a field object from fields.py.
+"""Exact linear algebra over a field from fields.py.
 
-Everything is small and dense on purpose: dimensions in this problem
-domain are tens, not thousands, and exactness beats asymptotics here.
-Vectors are tuples of scalars; matrices are tuples of row tuples.
+Vectors are tuples of scalars and matrices are tuples of row tuples;
+dimensions in this problem domain are tens, not thousands.  Scalars
+combine with Python's operators and are tested with truthiness; the field
+supplies `reduce` and the row operations `scale` and `axpy`, so nothing
+here asks the field how to add or multiply two scalars.  Inputs hold
+canonical scalars (Fraction over Q, ints in range(p) over F_p).
 """
 
 from __future__ import annotations
@@ -15,23 +18,19 @@ from .fields import EXHAUSTIVE_SCAN_BOUND, Field, FieldError, PrimeField, Ration
 Vector = tuple
 
 
-def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(field: Field, c, v: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in v)
-
-def vec_is_zero(field: Field, v: Vector) -> bool:
-    return all(field.is_zero(a) for a in v)
-
-def zero_vector(field: Field, n: int) -> Vector:
-    return (field.zero(),) * n
-
 def unit_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one() if j == i else field.zero() for j in range(n))
+
+
+def combine(field: Field, coeffs, vectors, n: int) -> Vector:
+    """The linear combination sum of c * v over paired coeffs and vectors."""
+    out = [field.zero()] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return field.reduce(out)
 
 
 @dataclass(frozen=True)
@@ -53,102 +52,50 @@ class Matrix:
             ncols = 0
         return Matrix(field, rows, ncols)
 
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        return Matrix.from_rows(field, [unit_vector(field, n, i) for i in range(n)])
-
-    @staticmethod
-    def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, tuple((field.zero(),) * ncols for _ in range(nrows)), ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows(self.field, list(zip(*self.rows)) if self.rows else [])
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = f.zero()
-                for a, b in zip(row, col):
-                    acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(f, tuple(out), other.ncols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero()
-            for a, b in zip(row, v):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
-    def trace(self):
-        f = self.field
-        acc = f.zero()
-        for i in range(min(self.nrows, self.ncols)):
-            acc = f.add(acc, self.rows[i][i])
-        return acc
+        return combine(self.field, v, list(zip(*self.rows)), self.nrows)
 
     def sub_scalar_identity(self, lam) -> "Matrix":
         """self - lam * I, for square self."""
-        f = self.field
-        out = []
-        for i, row in enumerate(self.rows):
-            r = list(row)
-            r[i] = f.sub(r[i], lam)
-            out.append(tuple(r))
-        return Matrix(f, tuple(out), self.ncols)
-
-    def add_scaled(self, other: "Matrix", c) -> "Matrix":
-        f = self.field
-        out = tuple(
-            tuple(f.add(a, f.mul(c, b)) for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
+        diagonal = self.field.reduce([row[i] - lam for i, row in enumerate(self.rows)])
+        rows = tuple(
+            row[:i] + (d,) + row[i + 1 :] for i, (row, d) in enumerate(zip(self.rows, diagonal))
         )
-        return Matrix(f, out, self.ncols)
+        return Matrix(self.field, rows, self.ncols)
 
 
 def rref(field: Field, rows) -> tuple[list, list]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    work = list(rows)
     if not work:
         return [], []
-    ncols = len(work[0])
+    nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not field.is_zero(work[i][c]):
-                pivot_row = i
+        for i in range(r, nrows):
+            if work[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                factor = work[i][c]
-                work[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(work[i], work[r])]
+        pivot, lead = work[i], work[i][c]
+        if lead != 1:
+            pivot = field.scale(field.inv(lead), pivot)
+        work[i] = work[r]
+        work[r] = pivot
+        for i, row in enumerate(work):
+            if row[c] and i != r:
+                work[i] = field.axpy(row, row[c], pivot)
         pivots.append(c)
         r += 1
-        if r == len(work):
+        if r == nrows:
             break
     return [tuple(row) for row in work[:r]], pivots
 
@@ -159,17 +106,18 @@ def matrix_rank(field: Field, rows) -> int:
 
 def kernel_basis(field: Field, mat: Matrix) -> list[Vector]:
     """Basis of {v : mat @ v = 0}, via RREF free-variable back substitution."""
-    reduced, pivots = rref(field, mat.rows)
+    reduced, pivots = rref(field, [row for row in mat.rows if any(row)])
     n = mat.ncols
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
         v = [field.zero()] * n
         v[fc] = field.one()
         for row, pc in zip(reduced, pivots):
-            v[pc] = field.neg(row[fc])
-        basis.append(tuple(v))
+            v[pc] = -row[fc]
+        basis.append(field.reduce(v))
     return basis
 
 
@@ -188,7 +136,10 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
-        rows, pivots = rref(field, [tuple(v) for v in vectors])
+        rows = [tuple(v) for v in vectors if any(v)]
+        if not rows:
+            return Subspace.zero(field, ambient_dim)
+        rows, pivots = rref(field, rows)
         return Subspace(field, ambient_dim, tuple(rows), tuple(pivots))
 
     @staticmethod
@@ -212,15 +163,14 @@ class Subspace:
     def coordinates(self, v: Vector):
         """Coefficients of v on self.basis, or None if v is outside."""
         f = self.field
-        residual = list(v)
+        residual = v
         coords = []
         for row, pc in zip(self.basis, self.pivots):
             c = residual[pc]
             coords.append(c)
-            if not f.is_zero(c):
-                for i in range(self.ambient_dim):
-                    residual[i] = f.sub(residual[i], f.mul(c, row[i]))
-        if any(not f.is_zero(x) for x in residual):
+            if c:
+                residual = f.axpy(residual, c, row)
+        if any(residual):
             return None
         return tuple(coords)
 
@@ -237,17 +187,12 @@ class Subspace:
         f = self.field
         # Columns are basis vectors of self followed by negated basis of other;
         # kernel elements give equal combinations, i.e. intersection vectors.
-        cols = [list(b) for b in self.basis] + [[f.neg(x) for x in b] for b in other.basis]
+        cols = list(self.basis) + [f.scale(-1, b) for b in other.basis]
         stacked = Matrix.from_rows(f, list(zip(*cols)))
-        vectors = []
-        for kv in kernel_basis(f, stacked):
-            coeffs = kv[: len(self.basis)]
-            v = [f.zero()] * self.ambient_dim
-            for c, b in zip(coeffs, self.basis):
-                if not f.is_zero(c):
-                    for i in range(self.ambient_dim):
-                        v[i] = f.add(v[i], f.mul(c, b[i]))
-            vectors.append(tuple(v))
+        k = len(self.basis)
+        vectors = [
+            combine(f, kv[:k], self.basis, self.ambient_dim) for kv in kernel_basis(f, stacked)
+        ]
         return Subspace.span(f, self.ambient_dim, vectors)
 
     def __eq__(self, other) -> bool:
@@ -265,21 +210,26 @@ class Subspace:
 def char_poly(mat: Matrix) -> list:
     """Characteristic polynomial det(xI - A), coefficients high to low.
 
-    Faddeev-LeVerrier: exact, division only by integers 1..n, which is
-    fine over ℚ and over 𝔽_p when p > n. Only the ℚ eigenvalue search
-    calls it; over 𝔽_p eigenvalues come from an exhaustive scan.
+    Faddeev-LeVerrier on row lists: exact, division only by integers
+    1..n, which is fine over ℚ and over 𝔽_p when p > n. Only the ℚ
+    eigenvalue search calls it; over 𝔽_p eigenvalues come from an
+    exhaustive scan.
     """
     f = mat.field
     n = mat.nrows
     if n != mat.ncols:
         raise ValueError("char_poly needs a square matrix")
     coeffs = [f.one()]
-    prod = Matrix.zeros(f, n, n)  # A M_0, with M_0 = 0
+    prod = [[f.zero()] * n for _ in range(n)]  # A M_0, with M_0 = 0
     c = f.one()
     for k in range(1, n + 1):
         # M_k = A M_{k-1} + c_{k-1} I; A M_k serves for c_k and for M_{k+1}.
-        prod = mat.mul(prod.add_scaled(Matrix.identity(f, n), c))
-        c = f.div(f.neg(prod.trace()), f.from_int(k))
+        m = [
+            f.reduce(x + c if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(prod)
+        ]
+        prod = [combine(f, row, m, n) for row in mat.rows]
+        (c,) = f.scale(f.inv(k), [-sum(prod[i][i] for i in range(n))])
         coeffs.append(c)
     return coeffs
 

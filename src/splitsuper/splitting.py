@@ -13,13 +13,7 @@ from functools import total_ordering
 
 from .algebra import GradedSubspace, Superalgebra
 from .fields import Field
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    rational_eigenvalues,
-    vec_is_zero,
-)
+from .linalg import Matrix, Subspace, Vector, combine, rational_eigenvalues
 
 
 class SplitError(Exception):
@@ -59,13 +53,13 @@ class Root:
     values: tuple
 
     def __add__(self, other: "Root") -> "Root":
-        return Root(self.field, tuple(self.field.add(a, b) for a, b in zip(self.values, other.values)))
+        return Root(self.field, self.field.reduce(a + b for a, b in zip(self.values, other.values)))
 
     def __neg__(self) -> "Root":
-        return Root(self.field, tuple(self.field.neg(a) for a in self.values))
+        return Root(self.field, self.field.reduce(-a for a in self.values))
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(a) for a in self.values)
+        return not any(self.values)
 
     def __lt__(self, other: "Root") -> bool:
         return self.values < other.values
@@ -116,8 +110,7 @@ class SplitDecomposition:
 
 def _homogeneous_parity(alg: Superalgebra, v: Vector):
     """Parity of a homogeneous vector, or None if mixed or zero."""
-    f = alg.field
-    seen = set(alg.parity[i] for i, x in enumerate(v) if not f.is_zero(x))
+    seen = set(alg.parity[i] for i, x in enumerate(v) if x)
     if len(seen) != 1:
         return None
     return seen.pop()
@@ -137,7 +130,7 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
         raise SplitError("empty subalgebra input")
     parities = []
     for v in vectors:
-        if vec_is_zero(f, v):
+        if not any(v):
             raise NotGradedError(v)
         p = _homogeneous_parity(alg, v)
         if p is None:
@@ -149,7 +142,7 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
     for x in vectors:
         for y in vectors:
             prod = alg.product(x, y)
-            if not vec_is_zero(f, prod):
+            if any(prod):
                 raise NotAbelianError(x, y, prod)
     h0_basis = tuple(v for v, p in zip(vectors, parities) if p == 0)
 
@@ -180,14 +173,7 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
                     "an operator is not diagonalizable over the base field",
                 )
             for lam, small_space in eig.pairs:
-                lifted = []
-                for coords in small_space.basis:
-                    v = [f.zero()] * alg.dim
-                    for c, b in zip(coords, piece.basis):
-                        if not f.is_zero(c):
-                            for i in range(alg.dim):
-                                v[i] = f.add(v[i], f.mul(c, b[i]))
-                    lifted.append(tuple(v))
+                lifted = [combine(f, coords, piece.basis, alg.dim) for coords in small_space.basis]
                 refined.append((prefix + (lam,), Subspace.span(f, alg.dim, lifted)))
         pieces = refined
 
@@ -262,7 +248,7 @@ def verify_split_facts(dec: SplitDecomposition) -> list[SplitFactViolation]:
             for x in s1.basis:
                 for y in s2.basis:
                     prod = alg.product(x, y)
-                    if vec_is_zero(f, prod):
+                    if not any(prod):
                         continue
                     if not target.contains_vector(prod):
                         violations.append(

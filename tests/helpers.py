@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own linear algebra:
-sympy does the row reduction and nullspaces, and the closure oracles
+sympy does the row reduction, nullspaces and characteristic polynomials,
+over Q and, through DomainMatrix, over GF(p), and the closure oracles
 work on raw coefficient tuples.  Agreement between the two stacks is
 what the cross-validation tests assert.
 """
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 import splitsuper as ss
 
@@ -61,6 +63,43 @@ def sympy_rational_eigenvalues(rows: Sequence[Sequence[Fraction]]) -> set[Fracti
 
 
 # ---------------------------------------------------------------------------
+# sympy-backed oracles over GF(p), on rows of ints in range(p)
+
+
+def _gf_matrix(p: int, rows: Sequence[Sequence[int]], ncols: int) -> DomainMatrix:
+    field = sympy.GF(p)
+    return DomainMatrix([[field(int(x)) for x in row] for row in rows], (len(rows), ncols), field)
+
+
+def _gf_ints(p: int, row) -> tuple[int, ...]:
+    return tuple(int(x) % p for x in row)
+
+
+def gf_rref(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
+    """(nonzero rows of the reduced row echelon form, pivot columns) over GF(p)."""
+    if not rows:
+        return (), ()
+    reduced, pivots = _gf_matrix(p, rows, ncols).rref()
+    out = tuple(_gf_ints(p, row) for row in reduced.to_list())
+    return tuple(row for row in out if any(row)), tuple(pivots)
+
+
+def gf_rank(p: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
+    return len(gf_rref(p, rows, ncols)[0])
+
+
+def gf_nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    return [_gf_ints(p, v) for v in _gf_matrix(p, rows, ncols).nullspace().to_list()]
+
+
+def gf_charpoly(p: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """Monic characteristic polynomial over GF(p), highest degree first."""
+    return list(_gf_ints(p, _gf_matrix(p, rows, len(rows)).charpoly()))
+
+
+# ---------------------------------------------------------------------------
 # closure oracles on raw vectors
 
 
@@ -96,7 +135,7 @@ def naive_ideal_closure(alg: ss.Superalgebra, seeds: Iterable[tuple]) -> list[tu
             unit = tuple(f.one() if i == j else f.zero() for i in range(alg.dim))
             for left, right in ((v, unit), (unit, v)):
                 prod = alg.product(list(left), list(right))
-                if any(not f.is_zero(x) for x in prod):
+                if any(prod):
                     if absorb(tuple(prod)):
                         queue.append(tuple(prod))
     return basis

@@ -168,7 +168,6 @@ def test_criterion_4_corpus_property_suite():
 
     for idx, (doc, prov, a) in enumerate(analyses):
         alg = a.alg
-        f = alg.field
         if ss.verify_split_facts(a.dec) != []:
             failures.append(f"[{idx}] pairwise root-sum closure violated")
         if not ss.annihilates_from_right(alg, a.kernel):
@@ -201,9 +200,7 @@ def test_criterion_4_corpus_property_suite():
             for right in result.ideals[i + 1 :]:
                 for u in left.ideal.basis_vectors():
                     for v in right.ideal.basis_vectors():
-                        if any(not f.is_zero(x) for x in alg.product(u, v)) or any(
-                            not f.is_zero(x) for x in alg.product(v, u)
-                        ):
+                        if any(alg.product(u, v)) or any(alg.product(v, u)):
                             failures.append(f"[{idx}] cross-ideal product nonzero")
 
         if prov["changed"]:

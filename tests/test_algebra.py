@@ -1,5 +1,6 @@
 """Superalgebra products, axioms, kernel, and ideal machinery."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from helpers import (
     case2i_doc,
     naive_ideal_closure,
     osp12_doc,
+    two_block_doc,
 )
 
 
@@ -64,6 +66,59 @@ class TestValidate:
         alg, cartan, _ = ss.parse_document(FIVE_DIM_DOC)
         with pytest.raises(ValueError):
             ss.split(alg, cartan)
+
+
+def unit_vector_violations(alg: ss.Superalgebra) -> list:
+    """The identity check as dense products with unit vectors, kept as the
+    reference for the table-driven Superalgebra.validate."""
+    f = alg.field
+    n = alg.dim
+    prods = {(i, j): alg.basis_product(i, j) for i in range(n) for j in range(n)}
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.product(unit(alg, i), prods[(j, k)])
+                r1 = alg.product(prods[(i, j)], unit(alg, k))
+                r2 = alg.product(prods[(i, k)], unit(alg, j))
+                odd_pair = alg.parity[j] * alg.parity[k] == 1
+                residual = f.reduce(
+                    x - (y + z if odd_pair else y - z) for x, y, z in zip(lhs, r1, r2)
+                )
+                if any(residual):
+                    violations.append(ss.Violation("identity", (i, j, k), residual))
+    return violations
+
+
+class TestValidateDifferential:
+    """One seeded structure constant changed, keeping the grading; the
+    table-driven validate must report exactly the reference violations."""
+
+    DOCS = (
+        FIVE_DIM_DOC,
+        osp12_doc(),
+        case2i_doc(),
+        two_block_doc(),
+        ss.gen_example2(3),
+        ss.gen_example2(4),
+    )
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:7"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tampered_tables_match_the_unit_vector_loop(self, seed, field) -> None:
+        rng = random.Random(seed)
+        checked = 0
+        for doc in self.DOCS:
+            doc = json.loads(ss.canonical_json(doc))
+            row = rng.choice(doc["products"])
+            term = rng.choice(row[2])
+            term[1] = str(Fraction(term[1]) + rng.choice([-3, -1, Fraction(1, 2), 2, 5]))
+            alg, _, _ = ss.parse_document(doc, field_override=ss.parse_field_spec(field))
+            expected = unit_vector_violations(alg)
+            assert alg.validate() == expected
+            assert alg.validated == (expected == [])
+            checked += len(expected)
+        assert checked > 0
 
 
 class TestProduct:

@@ -70,6 +70,16 @@ class TestCheck:
         assert code == 0
         assert report["validation"]["ok"] is True
 
+    def test_decimal_scalars_read_over_a_prime_field(self, tmp_path, capsys):
+        doc = json.loads(ss.canonical_json(FIVE_DIM_DOC))
+        doc["cartan"] = [["0", "0", "1.5", "0", "0"]]
+        path = tmp_path / "decimal.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for field in ("Q", "Fp:7919"):
+            code, report = run_json(capsys, ["analyze", str(path), "--field", field])
+            assert code == 0
+            assert report["validation"]["ok"] is True
+
     def test_bad_field_spec_exits_two(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIVE_DIM_DOC)
         assert main(["check", path, "--field", "Fp:4"]) == 2
@@ -138,6 +148,18 @@ class TestConnect:
         path = write_doc(tmp_path, FIVE_DIM_DOC)
         assert main(["connect", path, "--from", "1"]) == 2
         assert "together" in capsys.readouterr().err
+
+    def test_negative_roots_may_follow_their_flag(self, tmp_path, capsys):
+        path = write_doc(tmp_path, two_block_doc())
+        for extra, a, b in (
+            ([], "-1,0", "0,3"),
+            (["--neg-i", "--upsilon", "I"], "-1,0:1", "0,3:1"),
+        ):
+            spaced = run_json(capsys, ["connect", path, *extra, "--from", a, "--to", b])
+            attached = run_json(capsys, ["connect", path, *extra, f"--from={a}", f"--to={b}"])
+            assert spaced[0] == 0
+            assert spaced == attached
+            assert "connected" in spaced[1]["query"]
 
     def test_neg_i_summary_covers_both_sides(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIVE_DIM_DOC)

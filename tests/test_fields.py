@@ -13,16 +13,19 @@ class TestRationals:
         for text in ["0", "1", "-1", "2/3", "-7/5", "10"]:
             assert f.format(f.parse(text)) == str(Fraction(text))
 
-    def test_arithmetic(self) -> None:
+    def test_row_operations(self) -> None:
         f = Rationals()
         a, b = Fraction(2, 3), Fraction(-1, 6)
-        assert f.add(a, b) == Fraction(1, 2)
-        assert f.sub(a, b) == Fraction(5, 6)
-        assert f.mul(a, b) == Fraction(-1, 9)
-        assert f.div(a, b) == Fraction(-4)
-        assert f.neg(a) == Fraction(-2, 3)
+        assert f.axpy([a], -1, [b]) == [Fraction(1, 2)]
+        assert f.axpy([a], 1, [b]) == [Fraction(5, 6)]
+        assert f.scale(a, [b, Fraction(0)]) == [Fraction(-1, 9), 0]
+        assert f.scale(f.inv(b), [a]) == [Fraction(-4)]
+        assert f.scale(-1, [a]) == [Fraction(-2, 3)]
         assert f.inv(b) == Fraction(-6)
+        assert f.reduce([a, b]) == (a, b)
         assert f.characteristic == 0
+        for out in (f.axpy([a], 1, [a]), f.scale(a, [Fraction(0)]), f.reduce([b])):
+            assert all(type(x) is Fraction for x in out)
 
     def test_inverse_of_zero_rejected(self) -> None:
         f = Rationals()
@@ -38,15 +41,16 @@ class TestRationals:
 
 
 class TestPrimeField:
-    def test_modular_arithmetic(self) -> None:
+    def test_modular_row_operations(self) -> None:
         f = PrimeField(7)
         assert f.characteristic == 7
-        assert f.add(5, 4) == 2
-        assert f.sub(2, 5) == 4
-        assert f.mul(3, 5) == 1
-        assert f.neg(3) == 4
+        assert f.axpy([5], -1, [4]) == [2]
+        assert f.axpy([2], 1, [5]) == [4]
+        assert f.scale(3, [5, 0]) == [1, 0]
+        assert f.scale(-1, [3]) == [4]
         assert f.inv(3) == 5
-        assert f.div(1, 3) == 5
+        assert f.scale(f.inv(3), [1]) == [5]
+        assert f.reduce([-1, 7, 15]) == (6, 0, 1)
 
     def test_parse_accepts_fraction_notation(self) -> None:
         f = PrimeField(7)
@@ -54,6 +58,18 @@ class TestPrimeField:
         assert f.parse("1/2") == 4
         assert f.parse("-1") == 6
         assert f.format(f.parse("10")) == "3"
+
+    @pytest.mark.parametrize("text", ["1.5", "1e2", "1_000", " 3/4", "-2"])
+    def test_parse_reads_the_rational_grammar(self, text) -> None:
+        f = PrimeField(7)
+        q = Rationals().parse(text)
+        assert f.parse(text) == q.numerator * pow(q.denominator, -1, 7) % 7
+        assert f.parse(text) in range(7)
+
+    def test_denominator_divisible_by_p_rejected(self) -> None:
+        for text in ("1/7", "3/14", "1/70"):
+            with pytest.raises(FieldError):
+                PrimeField(7).parse(text)
 
     def test_composite_modulus_rejected(self) -> None:
         with pytest.raises(FieldError):
@@ -68,7 +84,7 @@ class TestPrimeField:
 
     def test_largest_allowed_prime(self) -> None:
         f = PrimeField(65521)
-        assert f.mul(f.inv(12345), 12345) == 1
+        assert f.scale(f.inv(12345), [12345]) == [1]
 
     def test_division_by_zero_rejected(self) -> None:
         f = PrimeField(5)

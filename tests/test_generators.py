@@ -72,8 +72,8 @@ class TestCombinators:
             for j in range(5, 10):
                 u = tuple(f.one() if t == i else f.zero() for t in range(10))
                 v = tuple(f.one() if t == j else f.zero() for t in range(10))
-                assert all(f.is_zero(x) for x in alg.product(u, v))
-                assert all(f.is_zero(x) for x in alg.product(v, u))
+                assert not any(alg.product(u, v))
+                assert not any(alg.product(v, u))
 
     def test_scaled_cartan_scales_roots(self) -> None:
         scaled = ss.scale_cartan_doc(ss.gen_example1(), Fraction(3))

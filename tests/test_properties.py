@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splitsuper as ss
@@ -18,13 +18,24 @@ from splitsuper.fields import PrimeField, Rationals
 from splitsuper.linalg import (
     Matrix,
     Subspace,
+    char_poly,
     kernel_basis,
     matrix_rank,
     rational_eigenvalues,
     rref,
 )
 
-from helpers import analyze_doc, corpus
+from helpers import (
+    FIVE_DIM_DOC,
+    analyze_doc,
+    case2i_doc,
+    corpus,
+    gf_charpoly,
+    gf_nullspace,
+    gf_rank,
+    gf_rref,
+    osp12_doc,
+)
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -35,31 +46,68 @@ def frac_rows(nrows: int, ncols: int):
     return st.lists(row, min_size=nrows, max_size=nrows).map(tuple)
 
 
+row_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(small_fractions, min_size=n, max_size=n),
+        st.lists(small_fractions, min_size=n, max_size=n),
+    )
+)
+
+
+def prime_row_pairs(p: int):
+    entry = st.integers(0, p - 1)
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(entry, min_size=n, max_size=n), st.lists(entry, min_size=n, max_size=n)
+        )
+    )
+
+
 class TestFieldLaws:
-    @given(a=small_fractions, b=small_fractions, c=small_fractions)
-    def test_rationals_ring_axioms(self, a, b, c):
+    """The ring and field laws, stated on the row operations the kernel uses:
+    axpy(u, a, v) = u - a v, scale(c, u) = c u, and reduce."""
+
+    @given(uv=row_pairs, a=small_fractions, b=small_fractions)
+    def test_rationals_ring_axioms(self, uv, a, b):
+        u, v = uv
         f = Rationals()
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.sub(a, a) == f.zero()
+        # a (u + v) = a u + a v
+        assert f.scale(a, f.axpy(u, -1, v)) == f.axpy(f.scale(a, u), -1, f.scale(a, v))
+        # u + v = v + u
+        assert f.axpy(u, -1, v) == f.axpy(v, -1, u)
+        # (a b) u = a (b u)
+        assert f.scale(f.scale(a, [b])[0], u) == f.scale(a, f.scale(b, u))
+        # u - u = 0
+        assert f.axpy(u, 1, u) == [f.zero()] * len(u)
+        assert f.reduce(u) == tuple(u)
 
     @given(a=nonzero_fractions)
     def test_rationals_inverse(self, a):
         f = Rationals()
-        assert f.mul(a, f.inv(a)) == f.one()
+        assert f.scale(f.inv(a), [a]) == [f.one()]
 
-    @given(a=st.integers(0, 12), b=st.integers(0, 12), c=st.integers(0, 12))
-    def test_prime_field_ring_axioms(self, a, b, c):
+    @given(uv=prime_row_pairs(13), a=st.integers(0, 12), b=st.integers(0, 12))
+    def test_prime_field_ring_axioms(self, uv, a, b):
+        u, v = uv
         f = PrimeField(13)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.add(a, f.neg(a)) == f.zero()
+        assert f.scale(a, f.axpy(u, -1, v)) == f.axpy(f.scale(a, u), -1, f.scale(a, v))
+        assert f.scale(f.scale(a, [b])[0], u) == f.scale(a, f.scale(b, u))
+        # u + (-u) = 0
+        assert f.axpy(u, 1, u) == [f.zero()] * len(u)
+        assert f.axpy(u, -1, f.scale(-1, u)) == [f.zero()] * len(u)
 
     @given(a=st.integers(1, 12))
     def test_prime_field_inverse(self, a):
         f = PrimeField(13)
-        assert f.mul(a, f.inv(a)) == f.one()
+        assert f.scale(f.inv(a), [a]) == [f.one()]
+
+    @given(values=st.lists(st.integers(-10**6, 10**6), max_size=6))
+    def test_prime_field_reduce_is_canonical(self, values):
+        f = PrimeField(13)
+        reduced = f.reduce(values)
+        assert all(x in range(13) for x in reduced)
+        assert all((x - y) % 13 == 0 for x, y in zip(reduced, values))
+        assert f.reduce(reduced) == reduced
 
     @given(a=small_fractions)
     def test_parse_format_round_trip(self, a):
@@ -104,6 +152,66 @@ class TestLinalgLaws:
         for lam in diag:
             expected[lam] = expected.get(lam, 0) + 1
         assert found == expected
+
+
+PRIMES = (2, 3, 13, 65521)
+
+
+@st.composite
+def prime_matrices(draw, max_rows: int = 5, max_cols: int = 5):
+    """(p, ncols, rows) with entries in range(p), biased toward 0, 1 and -1
+    so that dependent rows and zero rows turn up at every p."""
+    p = draw(st.sampled_from(PRIMES))
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
+    return p, ncols, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+class TestPrimeFieldLinalgAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(data=prime_matrices())
+    def test_rref_matches(self, data):
+        p, ncols, rows = data
+        ours, pivots = rref(PrimeField(p), rows)
+        assert (tuple(ours), tuple(pivots)) == gf_rref(p, rows, ncols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=prime_matrices())
+    def test_kernel_matches_as_span(self, data):
+        p, ncols, rows = data
+        f = PrimeField(p)
+        ours = kernel_basis(f, Matrix(f, tuple(rows), ncols))
+        theirs = gf_nullspace(p, rows, ncols)
+        assert len(ours) == len(theirs)
+        assert gf_rank(p, ours + theirs, ncols) == len(theirs)
+        for v in ours:
+            assert all(x in range(p) for x in v)
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=prime_matrices(max_rows=3, max_cols=4), data=st.data())
+    def test_intersect_matches_dimension_and_lies_in_both(self, a, data):
+        p, n, rows_a = a
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+        rows_b = data.draw(st.lists(row, max_size=3))
+        f = PrimeField(p)
+        meet = Subspace.span(f, n, rows_a).intersect(Subspace.span(f, n, rows_b))
+        rank_a, rank_b = gf_rank(p, rows_a, n), gf_rank(p, rows_b, n)
+        assert meet.dim == rank_a + rank_b - gf_rank(p, rows_a + rows_b, n)
+        for v in meet.basis:
+            assert gf_rank(p, rows_a + [v], n) == rank_a
+            assert gf_rank(p, rows_b + [v], n) == rank_b
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=prime_matrices(max_rows=5, max_cols=5))
+    def test_char_poly_matches(self, data):
+        p, n, rows = data
+        assume(p > n)  # Faddeev-LeVerrier divides by 1..n
+        rows = (rows + [(0,) * n] * n)[:n]
+        assert char_poly(Matrix(PrimeField(p), tuple(rows), n)) == gf_charpoly(p, rows)
 
 
 root_tuples = st.lists(small_fractions, min_size=2, max_size=2).map(tuple)
@@ -232,6 +340,35 @@ class TestChangeOfBasisEquivariance:
         assert before.kernel.dim == after.kernel.dim
 
 
+def _scalars_of(dec, result) -> list:
+    """Every scalar in the roots and in every basis the pipeline produced."""
+    spaces = [dec.cartan, dec.zero_space, result.h_lambda, result.u_space]
+    for entry in result.ideals:
+        spaces += [entry.h_part, entry.v_part, entry.ideal]
+    vectors = [v for space in spaces for v in space.basis_vectors()]
+    for even, odd in dec.roots.values():
+        vectors += list(even.basis) + list(odd.basis)
+    vectors += [root.values for root in dec.roots]
+    return [x for v in vectors for x in v]
+
+
+class TestScalarTypes:
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(7919)], ids=str)
+    @pytest.mark.parametrize(
+        "doc", [FIVE_DIM_DOC, osp12_doc(), case2i_doc()], ids=["five_dim", "osp12", "case2i"]
+    )
+    def test_split_and_decompose_keep_canonical_scalars(self, doc, field):
+        alg, cartan, _ = ss.reinterpret(doc, field)
+        assert alg.validate() == []
+        dec = ss.split(alg, cartan)
+        scalars = _scalars_of(dec, ss.decompose(dec))
+        assert scalars
+        if isinstance(field, Rationals):
+            assert all(type(x) is Fraction for x in scalars)
+        else:
+            assert all(type(x) is int and x in range(field.p) for x in scalars)
+
+
 @pytest.fixture(scope="module")
 def analyzed():
     return [(doc, prov, analyze_doc(doc)) for doc, prov in corpus()]
@@ -303,7 +440,6 @@ class TestCorpus:
         for doc, _, a in analyzed:
             result = ss.decompose(a.dec)
             alg = a.alg
-            f = alg.field
             total = alg.zero_graded().plus(result.u_space)
             for entry in result.ideals:
                 assert ss.is_graded_ideal(alg, entry.ideal)
@@ -313,8 +449,8 @@ class TestCorpus:
                 for right in result.ideals[i + 1 :]:
                     for u in left.ideal.basis_vectors():
                         for v in right.ideal.basis_vectors():
-                            assert all(f.is_zero(x) for x in alg.product(u, v))
-                            assert all(f.is_zero(x) for x in alg.product(v, u))
+                            assert not any(alg.product(u, v))
+                            assert not any(alg.product(v, u))
             if result.refinement_applies:
                 dims = result.u_space.dim + sum(e.ideal.dim for e in result.ideals)
                 assert dims == alg.dim

@@ -6,10 +6,14 @@ recorded in ``report_digests.json``.  A refactor that promises identical
 reports must leave every digest as it is.
 
 Run as a script to print the digests of ``analyze --json`` and
-``decompose --json`` over the 100 members of the seed-1 fuzz corpus, one
-line per report, for comparing two trees (about 2 minutes):
+``decompose --json``, one line per report: over the 100 members of the
+seed-1 fuzz corpus, over ``gen_example2(n)`` for n = 9, 11, 13 and 15, and
+over example1, ``gen_example2(1)`` and ``gen_example2(3)`` read with
+``--field Fp:65521``.  ``corpus_digests.txt`` holds the recorded output;
+an empty diff means every one of those reports is unchanged (a few
+minutes):
 
-    PYTHONPATH=src python tests/test_report_snapshot.py > digests.txt
+    PYTHONPATH=src python tests/test_report_snapshot.py | diff tests/corpus_digests.txt -
 """
 
 from __future__ import annotations
@@ -182,14 +186,26 @@ def test_reordered_found_ideals_change_the_digest(doc_paths, recorded):
 
 
 def corpus_digests(seed: int = 1, count: int = 100):
-    """Yield (member, command, exit code, sha256) over a fuzz corpus."""
+    """Yield (member, command, exit code, sha256) over the fuzz corpus,
+    the larger module-family members and the large-prime reinterpretations."""
+    runs = [
+        (f"fuzz_{index:04d}", doc, [])
+        for index, (doc, _) in enumerate(ss.fuzz_corpus(seed, count))
+    ]
+    runs += [(f"example2_{n}", ss.gen_example2(n), []) for n in (9, 11, 13, 15)]
+    prime = ["--field", "Fp:65521"]
+    runs += [
+        ("example1-Fp65521", ss.gen_example1(), prime),
+        ("example2_1-Fp65521", ss.gen_example2(1), prime),
+        ("example2_3-Fp65521", ss.gen_example2(3), prime),
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        for index, (doc, _) in enumerate(ss.fuzz_corpus(seed, count)):
-            path = Path(tmp) / f"fuzz_{index:04d}.json"
+        for name, doc, extra in runs:
+            path = Path(tmp) / f"{name}.json"
             path.write_text(ss.canonical_json(doc), encoding="utf-8")
             for command in ("analyze", "decompose"):
-                code, out = run_cli([command, str(path), "--json"])
-                yield path.stem, command, code, digest(out)
+                code, out = run_cli([command, str(path), "--json"] + extra)
+                yield name, command, code, digest(out)
 
 
 if __name__ == "__main__":
