@@ -13,7 +13,7 @@ class TestRationals:
         for text in ["0", "1", "-1", "2/3", "-7/5", "10"]:
             assert f.format(f.parse(text)) == str(Fraction(text))
 
-    def test_row_operations(self) -> None:
+    def test_arithmetic(self) -> None:
         f = Rationals()
         a, b = Fraction(2, 3), Fraction(-1, 6)
         assert f.axpy([a], -1, [b]) == [Fraction(1, 2)]
@@ -41,7 +41,7 @@ class TestRationals:
 
 
 class TestPrimeField:
-    def test_modular_row_operations(self) -> None:
+    def test_modular_arithmetic(self) -> None:
         f = PrimeField(7)
         assert f.characteristic == 7
         assert f.axpy([5], -1, [4]) == [2]

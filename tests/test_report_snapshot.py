@@ -10,8 +10,8 @@ Run as a script to print the digests of ``analyze --json`` and
 seed-1 fuzz corpus, over ``gen_example2(n)`` for n = 9, 11, 13 and 15, and
 over example1, ``gen_example2(1)`` and ``gen_example2(3)`` read with
 ``--field Fp:65521``.  ``corpus_digests.txt`` holds the recorded output;
-an empty diff means every one of those reports is unchanged (a few
-minutes):
+an empty diff means every one of those reports is unchanged (about a
+minute):
 
     PYTHONPATH=src python tests/test_report_snapshot.py | diff tests/corpus_digests.txt -
 """
