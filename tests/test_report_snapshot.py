@@ -9,9 +9,11 @@ Run as a script to print the digests of ``analyze --json`` and
 ``decompose --json``, one line per report: over the 100 members of the
 seed-1 fuzz corpus, over ``gen_example2(n)`` for n = 9, 11, 13 and 15, and
 over example1, ``gen_example2(1)`` and ``gen_example2(3)`` read with
-``--field Fp:65521``.  ``corpus_digests.txt`` holds the recorded output;
-an empty diff means every one of those reports is unchanged (about a
-minute):
+``--field Fp:65521``; then over ``gen_example2(17)``, and over example1,
+``gen_example2(1)`` and ``gen_example2(3)`` read with ``--field Fp:p`` for
+p = 2, 3, 7 and 13 (primes at most the dimension included).
+``corpus_digests.txt`` holds the recorded output; an empty diff means
+every one of those reports is unchanged (about a minute):
 
     PYTHONPATH=src python tests/test_report_snapshot.py | diff tests/corpus_digests.txt -
 """
@@ -187,7 +189,7 @@ def test_reordered_found_ideals_change_the_digest(doc_paths, recorded):
 
 def corpus_digests(seed: int = 1, count: int = 100):
     """Yield (member, command, exit code, sha256) over the fuzz corpus,
-    the larger module-family members and the large-prime reinterpretations."""
+    the larger module-family members and the prime-field reinterpretations."""
     runs = [
         (f"fuzz_{index:04d}", doc, [])
         for index, (doc, _) in enumerate(ss.fuzz_corpus(seed, count))
@@ -199,6 +201,14 @@ def corpus_digests(seed: int = 1, count: int = 100):
         ("example2_1-Fp65521", ss.gen_example2(1), prime),
         ("example2_3-Fp65521", ss.gen_example2(3), prime),
     ]
+    runs.append(("example2_17", ss.gen_example2(17), []))
+    for p in (2, 3, 7, 13):
+        small = ["--field", f"Fp:{p}"]
+        runs += [
+            (f"example1-Fp{p}", ss.gen_example1(), small),
+            (f"example2_1-Fp{p}", ss.gen_example2(1), small),
+            (f"example2_3-Fp{p}", ss.gen_example2(3), small),
+        ]
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc, extra in runs:
             path = Path(tmp) / f"{name}.json"
