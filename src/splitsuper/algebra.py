@@ -57,9 +57,6 @@ class GradedSubspace:
     def basis_vectors(self) -> list[Vector]:
         return list(self.even.basis) + list(self.odd.basis)
 
-    def homogeneous_basis(self) -> list[tuple[Vector, int]]:
-        return [(v, 0) for v in self.even.basis] + [(v, 1) for v in self.odd.basis]
-
     def contains_vector(self, v: Vector, parity: list) -> bool:
         ev, od = _parity_parts(self.even.field, parity, v)
         return self.even.contains_vector(ev) and self.odd.contains_vector(od)

@@ -378,63 +378,36 @@ def oracle_verdict(
         for s in range(n_slots)
     ]
 
-    # Per lattice member: slots forced by the member's generators acting on
-    # any slot, and membership of each product line.
-    member_req: dict = {}
-    line_in_member: dict = {}
-    for m in lattice:
-        key = space_key(m)
-        member_req[key] = set().union(
-            *(forced_slots(g, t, "lattice") for g in lattice_gens[key] for t in range(n_slots))
-        )
-        line_in_member[key] = [m.contains_vector(v, parity) for v in h_vectors]
+    # Per slot s: the slots its presence forces (the H-action and both
+    # product orders against every slot, since the other factor ranges over
+    # all of the algebra), and the product lines in H it needs.
+    need = [sum(1 << u for u in h_action_req[s]) for s in range(n_slots)]
+    needs_line = [0] * n_slots
+    for s in range(n_slots):
+        for t in range(n_slots):
+            for entry in (pair_table[s][t], pair_table[t][s]):
+                if entry is not None:
+                    kind, idx = entry
+                    if kind == "slot":
+                        need[s] |= 1 << idx
+                    else:
+                        needs_line[s] |= 1 << idx
 
     found = []
     for m in lattice:
-        key = space_key(m)
-        req_m = member_req[key]
-        lines_ok = line_in_member[key]
+        # Slots forced by the member's generators acting on any slot, and
+        # the slots whose product lines the member lacks.
+        gens = lattice_gens[space_key(m)]
+        forced = set().union(*(forced_slots(g, t, "lattice") for g in gens for t in range(n_slots)))
+        req = sum(1 << u for u in forced)
+        lacking = sum(1 << i for i, v in enumerate(h_vectors) if not m.contains_vector(v, parity))
+        barred = sum(1 << s for s in range(n_slots) if needs_line[s] & lacking)
         for mask in range(2**n_slots):
-            ok = True
-            for s in req_m:
-                if not (mask >> s) & 1:
-                    ok = False
-                    break
-            if not ok:
+            if mask & req != req or mask & barred:
                 continue
-            s = 0
-            while ok and s < n_slots:
-                if (mask >> s) & 1:
-                    for u in h_action_req[s]:
-                        if not (mask >> u) & 1:
-                            ok = False
-                            break
-                    if ok:
-                        # Both product orders against every slot, inside the
-                        # candidate or not: the other factor ranges over all
-                        # of the algebra.
-                        for t in range(n_slots):
-                            for entry in (pair_table[s][t], pair_table[t][s]):
-                                if entry is None:
-                                    continue
-                                kind, idx = entry
-                                if kind == "slot":
-                                    if not (mask >> idx) & 1:
-                                        ok = False
-                                        break
-                                else:
-                                    if not lines_ok[idx]:
-                                        ok = False
-                                        break
-                            if not ok:
-                                break
-                s += 1
-            if ok:
-                space = m
-                for t in range(n_slots):
-                    if (mask >> t) & 1:
-                        space = space.plus(alg.graded_span([slot_vec[t]]))
-                found.append(space)
+            chosen = [s for s in range(n_slots) if mask >> s & 1]
+            if all(not need[s] & ~mask for s in chosen):
+                found.append(m.plus(alg.graded_span([slot_vec[s] for s in chosen])))
 
     dedup = {}
     for space in found:

@@ -4,18 +4,21 @@ Scalars are plain Python values (fractions.Fraction over the rationals,
 canonical residues in range(p) over a prime field) and combine with
 Python's operators.  This is the only module that knows how they differ:
 each field supplies `reduce` (the identity over Q, `% p` over F_p), the
-row operations `scale` and `axpy` that linalg is built on, `inv`, and
-parsing and canonical formatting.  Both fields read one scalar grammar,
-that of fractions.Fraction; a prime field maps num/den to num * den^-1.
+row operations `scale` and `axpy` that linalg is built on, `inv`, `roots`
+(the roots of a polynomial that lie in the field, which is where the
+eigenvalue search differs), and parsing and canonical formatting.  Both
+fields read one scalar grammar, that of fractions.Fraction; a prime field
+maps num/den to num * den^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
-# Largest prime admitted for brute-force spectral scans.  Eigenvalue search
-# over F_p enumerates all p candidates, so the bound keeps it trivially fast.
+# Largest prime admitted.  PrimeField.roots evaluates a polynomial at every
+# residue, so the bound keeps that scan fast.
 EXHAUSTIVE_SCAN_BOUND = 65521
 
 
@@ -74,6 +77,34 @@ class Rationals:
         """row - a * other; entries where other is zero are copied."""
         return [x - a * y if y else x for x, y in zip(row, other)]
 
+    def roots(self, poly) -> list:
+        """The rational roots of a monic polynomial (coefficients high to
+        low), ascending.
+
+        With d the lcm of the denominators, g(y) = d^n * poly(y / d) is
+        monic over Z, so its rational roots are integers dividing its last
+        nonzero coefficient.  Fujiwara's bound |y| <= 2 * max_k |g_k|^(1/k),
+        taken from bit lengths, caps the divisor search below the square
+        root of that coefficient.
+        """
+        d = lcm(*(c.denominator for c in poly))
+        g = [c.numerator * (d**k // c.denominator) for k, c in enumerate(poly)]
+        found = set()
+        while len(g) > 1 and not g[-1]:
+            g.pop()
+            found.add(0)
+        last = abs(g[-1])
+        bound = 2 << max((-(-abs(c).bit_length() // k) for k, c in enumerate(g[1:], 1)), default=0)
+        for a in range(1, min(bound, isqrt(last)) + 1):
+            if last % a == 0:
+                for y in (a, -a, last // a, -(last // a)):
+                    acc = 0
+                    for c in g:
+                        acc = acc * y + c
+                    if not acc:
+                        found.add(y)
+        return [Fraction(y, d) for y in sorted(found)]
+
     def parse(self, s: str):
         return _parse_fraction(s, self)
 
@@ -128,6 +159,19 @@ class PrimeField:
     def axpy(self, row, a, other) -> list:
         p = self.p
         return [(x - a * y) % p for x, y in zip(row, other)]
+
+    def roots(self, poly) -> list:
+        """The roots of a polynomial (coefficients high to low), ascending:
+        Horner's rule at every residue."""
+        p = self.p
+        found = []
+        for x in range(p):
+            acc = 0
+            for c in poly:
+                acc = (acc * x + c) % p
+            if not acc:
+                found.append(x)
+        return found
 
     def parse(self, s: str):
         """A rational in the grammar of Rationals.parse, read mod p."""

@@ -3,17 +3,17 @@
 Vectors are tuples of scalars and matrices are tuples of row tuples;
 dimensions in this problem domain are tens, not thousands.  Scalars
 combine with Python's operators and are tested with truthiness; the field
-supplies `reduce` and the row operations `scale` and `axpy`, so nothing
-here asks the field how to add or multiply two scalars.  Inputs hold
-canonical scalars (Fraction over Q, ints in range(p) over F_p).
+supplies `reduce`, the row operations `scale` and `axpy`, and `roots`, so
+nothing here asks which field it has or how to combine two scalars.
+Inputs hold canonical scalars (Fraction over Q, ints in range(p) over F_p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from math import lcm
 
-from .fields import EXHAUSTIVE_SCAN_BOUND, Field, FieldError, PrimeField, Rationals
+from .fields import Field
 
 Vector = tuple
 
@@ -210,74 +210,35 @@ class Subspace:
 def char_poly(mat: Matrix) -> list:
     """Characteristic polynomial det(xI - A), coefficients high to low.
 
-    Faddeev-LeVerrier on row lists: exact, division only by integers
-    1..n, which is fine over ℚ and over 𝔽_p when p > n. Only the ℚ
-    eigenvalue search calls it; over 𝔽_p eigenvalues come from an
-    exhaustive scan.
+    Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984), so it
+    holds in every characteristic.  It runs on the integer matrix D*A, D
+    the lcm of the entry denominators (1 over F_p), reduced by the field at
+    each step; coefficient k of det(xI - D*A) is D^k times that of A.
     """
     f = mat.field
     n = mat.nrows
     if n != mat.ncols:
         raise ValueError("char_poly needs a square matrix")
-    coeffs = [f.one()]
-    prod = [[f.zero()] * n for _ in range(n)]  # A M_0, with M_0 = 0
-    c = f.one()
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I; A M_k serves for c_k and for M_{k+1}.
-        m = [
-            f.reduce(x + c if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(prod)
-        ]
-        prod = [combine(f, row, m, n) for row in mat.rows]
-        (c,) = f.scale(f.inv(k), [-sum(prod[i][i] for i in range(n))])
-        coeffs.append(c)
-    return coeffs
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a ℚ[x] polynomial, by the rational root theorem."""
-    from math import gcd
-
-    # Clear denominators to a primitive integer polynomial.
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    # Strip trailing zero coefficients: x^k factors contribute the root 0.
-    roots = set()
-    while ints and ints[-1] == 0:
-        ints.pop()
-        roots.add(Fraction(0))
-    if not ints or all(c == 0 for c in ints):
-        return sorted(roots)
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in ints:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    d = lcm(*(x.denominator for row in mat.rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in mat.rows]
+    poly = (1,)
+    for k in range(n):
+        # Border the leading k x k block A_k with row r, column col and corner
+        # a[k][k]: the new polynomial is the Toeplitz product t * poly, with
+        # t = (1, -a[k][k], -r col, -r A_k col, ..., -r A_k^(k-1) col).
+        block = [row[:k] for row in a[:k]]
+        r = a[k][:k]
+        col = [row[k] for row in a[:k]]
+        t = [1, -a[k][k]]
+        for _ in range(k):
+            t.append(-sum(x * y for x, y in zip(r, col)))
+            col = f.reduce(sum(x * y for x, y in zip(row, col)) for row in block)
+        poly = f.reduce(
+            sum(t[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        )
+    inv_d = f.inv(d)
+    return list(f.reduce(c * inv_d**k for k, c in enumerate(poly)))
 
 
 @dataclass(frozen=True)
@@ -294,25 +255,14 @@ class EigenDecomposition:
 
 
 def rational_eigenvalues(mat: Matrix) -> EigenDecomposition:
-    """All eigenvalues of mat lying in its base field, with eigenspaces."""
+    """All eigenvalues of mat lying in its base field, with eigenspaces:
+    the field's roots of the char poly, and one kernel per root."""
     f = mat.field
     n = mat.nrows
-    if isinstance(f, Rationals):
-        candidates = _rational_root_candidates(char_poly(mat))
-    elif isinstance(f, PrimeField):
-        if f.p > EXHAUSTIVE_SCAN_BOUND:
-            raise FieldError(f"prime {f.p} exceeds scan bound {EXHAUSTIVE_SCAN_BOUND}")
-        candidates = list(range(f.p))
-    else:
-        raise FieldError(f"unsupported field {f!r}")
     pairs = []
     covered = 0
-    for lam in candidates:
-        ker = kernel_basis(f, mat.sub_scalar_identity(lam))
-        if ker:
-            space = Subspace.span(f, n, ker)
-            pairs.append((lam, space))
-            covered += space.dim
-        if covered == n:
-            break
+    for lam in f.roots(char_poly(mat)):
+        space = Subspace.span(f, n, kernel_basis(f, mat.sub_scalar_identity(lam)))
+        pairs.append((lam, space))
+        covered += space.dim
     return EigenDecomposition(tuple(pairs), covered, n)

@@ -151,20 +151,17 @@ def graded_witness_json(field: Field, w: GradedConnectionWitness) -> dict:
     }
 
 
-def classes_json(field: Field, classes, witness_lookup=None) -> list:
+def classes_json(field: Field, classes, witness_lookup) -> list:
     out = []
     for cls in classes:
-        entry = {"roots": [root_json(field, r) for r in sorted(cls)]}
-        if witness_lookup:
-            rep = min(cls)
-            chains = {}
-            for other in sorted(cls):
-                w = witness_lookup(rep, other)
-                if w is not None:
-                    key = ",".join(root_json(field, other))
-                    chains[key] = witness_json(field, w)
-            entry["witnesses_from_representative"] = chains
-        out.append(entry)
+        rep = min(cls)
+        chains = {}
+        for other in sorted(cls):
+            w = witness_lookup(rep, other)
+            if w is not None:
+                chains[",".join(root_json(field, other))] = witness_json(field, w)
+        roots = [root_json(field, r) for r in sorted(cls)]
+        out.append({"roots": roots, "witnesses_from_representative": chains})
     return out
 
 

@@ -17,6 +17,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 import splitsuper as ss
+from splitsuper.linalg import EigenDecomposition
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,109 @@ def gf_nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[tupl
 def gf_charpoly(p: int, rows: Sequence[Sequence[int]]) -> list[int]:
     """Monic characteristic polynomial over GF(p), highest degree first."""
     return list(_gf_ints(p, _gf_matrix(p, rows, len(rows)).charpoly()))
+
+
+# ---------------------------------------------------------------------------
+# reference eigenvalue search: the library's search before its char-poly
+# root search, on sympy's characteristic polynomial and the library's kernels
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _rational_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
+    """All rational roots of a Q[x] polynomial, by the rational root theorem."""
+    from math import gcd
+
+    # Clear denominators to a primitive integer polynomial.
+    denom_lcm = 1
+    for c in coeffs:
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    ints = [int(c * denom_lcm) for c in coeffs]
+    # Strip trailing zero coefficients: x^k factors contribute the root 0.
+    roots = set()
+    while ints and ints[-1] == 0:
+        ints.pop()
+        roots.add(Fraction(0))
+    if not ints or all(c == 0 for c in ints):
+        return sorted(roots)
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    ints = [c // g for c in ints]
+    lead, const = ints[0], ints[-1]
+    for p in _divisors(const):
+        for q in _divisors(lead):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                acc = Fraction(0)
+                for c in ints:
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def reference_eigenvalues(mat: ss.Matrix) -> EigenDecomposition:
+    """Over Q, one kernel per rational-root candidate of sympy's char poly;
+    over F_p, one kernel per residue until the eigenspaces fill the space."""
+    f = mat.field
+    n = mat.nrows
+    if isinstance(f, ss.Rationals):
+        candidates = _rational_root_candidates(sympy_charpoly(mat.rows)) if n else []
+    else:
+        candidates = range(f.p)
+    pairs = []
+    covered = 0
+    for lam in candidates:
+        ker = ss.kernel_basis(f, mat.sub_scalar_identity(lam))
+        if ker:
+            space = ss.Subspace.span(f, n, ker)
+            pairs.append((lam, space))
+            covered += space.dim
+        if covered == n:
+            break
+    return EigenDecomposition(tuple(pairs), covered, n)
+
+
+def gf_roots(p: int, coeffs: Sequence[int]) -> list[int]:
+    """Roots in range(p) of a polynomial over GF(p), ascending, by sympy's
+    factorization over the finite field."""
+    poly = sympy.Poly([int(c) for c in coeffs], sympy.Symbol("x"), modulus=p)
+    return sorted(int(r) % p for r in poly.ground_roots())
+
+
+def split_operators(doc: dict, field_spec: str = None) -> list:
+    """The restricted operators whose eigenvalues split() asks for, in order;
+    a document that is not split yields the operators built before that."""
+    field = ss.parse_field_spec(field_spec) if field_spec else None
+    alg, cartan, _ = ss.parse_document(doc, field)
+    alg.validate()
+    operators = []
+    original = ss.splitting.rational_eigenvalues
+
+    def record(mat):
+        operators.append(mat)
+        return original(mat)
+
+    ss.splitting.rational_eigenvalues = record
+    try:
+        ss.split(alg, cartan)
+    except ss.NotSplitError:
+        pass
+    finally:
+        ss.splitting.rational_eigenvalues = original
+    return operators
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -275,6 +276,29 @@ class TestAnalyze:
         assert main(["analyze", path]) == 2
         assert "at least 1" in capsys.readouterr().err
         assert calls == []
+
+
+class TestLargeModuleFamilyMember:
+    """gen_example2(17), dimension 21: its eigenvalues are found in well under
+    a second, so each command is decided within a few seconds; analyze stops
+    at the default oracle bound (2^21 candidates against 2^20)."""
+
+    def test_analyze_stops_at_the_oracle_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SLL_ORACLE_BOUND", raising=False)
+        path = write_doc(tmp_path, ss.gen_example2(17))
+        start = time.perf_counter()
+        assert main(["analyze", path, "--json"]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "needs 2097152 candidates, over the bound 1048576" in err
+
+    def test_decompose_succeeds(self, tmp_path, capsys):
+        path = write_doc(tmp_path, ss.gen_example2(17))
+        start = time.perf_counter()
+        code, report = run_json(capsys, ["decompose", path])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert report["command"] == "decompose"
 
 
 class TestInvariantsOnce:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import splitsuper as ss
 from splitsuper import (
     Matrix,
     PrimeField,
@@ -13,9 +14,13 @@ from splitsuper import (
     kernel_basis,
     rational_eigenvalues,
 )
+from splitsuper import linalg
 from splitsuper.linalg import char_poly, matrix_rank, rref
 
 from helpers import (
+    corpus,
+    reference_eigenvalues,
+    split_operators,
     sympy_charpoly,
     sympy_nullspace,
     sympy_rational_eigenvalues,
@@ -129,6 +134,54 @@ class TestPrimeFieldLinalg:
         rows = [[0, 3], [1, 0]]
         eig = rational_eigenvalues(Matrix.from_rows(f, rows))
         assert eig.pairs == ()
+
+
+def has_even_cartan_vector(doc: dict) -> bool:
+    """Only the even part of the splitting subalgebra gives operators."""
+    return any(Fraction(x) and doc["parity"][i] == 0 for v in doc["cartan"] for i, x in enumerate(v))
+
+
+SPLIT_CASES = (
+    [
+        (f"fuzz_{i:04d}", doc, None)
+        for i, (doc, _) in enumerate(corpus()[:30])
+        if has_even_cartan_vector(doc)
+    ]
+    + [(f"example2_{n}", ss.gen_example2(n), None) for n in range(1, 12)]
+    + [(f"example1-Fp{p}", ss.gen_example1(), f"Fp:{p}") for p in (2, 3, 13, 65521)]
+)
+
+
+class TestEigenvaluesAgainstReference:
+    """The char-poly root search against the search it replaced: rational
+    root candidates of sympy's char poly over Q, every residue over F_p."""
+
+    @pytest.mark.parametrize("name,doc,spec", SPLIT_CASES, ids=[c[0] for c in SPLIT_CASES])
+    def test_split_operators(self, name, doc, spec) -> None:
+        operators = split_operators(doc, spec)
+        assert operators
+        for mat in operators:
+            eig = rational_eigenvalues(mat)
+            assert eig == reference_eigenvalues(mat)
+            scalar = Fraction if spec is None else int
+            assert all(type(lam) is scalar for lam, _ in eig.pairs)
+
+    def test_one_kernel_per_eigenvalue_over_a_large_prime(self, monkeypatch) -> None:
+        (mat,) = split_operators(ss.gen_example1(), "Fp:65521")
+        calls = []
+        original = linalg.kernel_basis
+
+        def counted(field, m):
+            calls.append(m)
+            return original(field, m)
+
+        monkeypatch.setattr(linalg, "kernel_basis", counted)
+        eig = rational_eigenvalues(mat)
+        # A scan of the residues would compute a kernel for each of the
+        # 65,520 values up to the largest eigenvalue, -1.
+        assert [lam for lam, _ in eig.pairs] == [0, 1, 2, 65519, 65520]
+        assert len(calls) == len(eig.pairs)
+        assert eig.covered_dim == eig.size == 5
 
 
 class TestSubspace:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitsuper as ss
@@ -33,6 +33,7 @@ from helpers import (
     gf_charpoly,
     gf_nullspace,
     gf_rank,
+    gf_roots,
     gf_rref,
     osp12_doc,
 )
@@ -209,9 +210,23 @@ class TestPrimeFieldLinalgAgainstSympy:
     @given(data=prime_matrices(max_rows=5, max_cols=5))
     def test_char_poly_matches(self, data):
         p, n, rows = data
-        assume(p > n)  # Faddeev-LeVerrier divides by 1..n
         rows = (rows + [(0,) * n] * n)[:n]
         assert char_poly(Matrix(PrimeField(p), tuple(rows), n)) == gf_charpoly(p, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=prime_matrices(max_rows=5, max_cols=5))
+    def test_eigenvalues_are_the_char_poly_roots(self, data):
+        p, n, rows = data
+        rows = (rows + [(0,) * n] * n)[:n]
+        mat = Matrix(PrimeField(p), tuple(rows), n)
+        eig = rational_eigenvalues(mat)
+        assert [lam for lam, _ in eig.pairs] == gf_roots(p, gf_charpoly(p, rows))
+        for lam, space in eig.pairs:
+            shifted = mat.sub_scalar_identity(lam).rows
+            assert space.dim == n - gf_rank(p, shifted, n)
+            for v in space.basis:
+                assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in shifted)
+        assert eig.covered_dim == sum(space.dim for _, space in eig.pairs)
 
 
 root_tuples = st.lists(small_fractions, min_size=2, max_size=2).map(tuple)
