@@ -370,20 +370,16 @@ def oracle_verdict(
             hits.add(targets[0])
         return hits
 
-    # Slots forced into the candidate once slot s is present, from the
-    # two-sided action of the whole splitting subalgebra.
+    # Per slot s: the slots forced into the candidate once s is present,
+    # by the two-sided action of the whole splitting subalgebra and by both
+    # product orders against every slot (the other factor ranges over all
+    # of the algebra), and the product lines in H it needs.
     h_basis = dec.cartan.basis_vectors()
-    h_action_req = [
-        set().union(*(forced_slots(h, s, "subalgebra") for h in h_basis))
-        for s in range(n_slots)
-    ]
-
-    # Per slot s: the slots its presence forces (the H-action and both
-    # product orders against every slot, since the other factor ranges over
-    # all of the algebra), and the product lines in H it needs.
-    need = [sum(1 << u for u in h_action_req[s]) for s in range(n_slots)]
+    need = [0] * n_slots
     needs_line = [0] * n_slots
     for s in range(n_slots):
+        for u in set().union(*(forced_slots(h, s, "subalgebra") for h in h_basis)):
+            need[s] |= 1 << u
         for t in range(n_slots):
             for entry in (pair_table[s][t], pair_table[t][s]):
                 if entry is not None:

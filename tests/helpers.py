@@ -185,7 +185,7 @@ def split_operators(doc: dict, field_spec: str = None) -> list:
     a document that is not split yields the operators built before that."""
     field = ss.parse_field_spec(field_spec) if field_spec else None
     alg, cartan, _ = ss.parse_document(doc, field)
-    alg.validate()
+    assert alg.validate() == []
     operators = []
     original = ss.splitting.rational_eigenvalues
 
