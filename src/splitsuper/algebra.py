@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, kernel_basis, unit_vector
+from .linalg import Matrix, Subspace, Vector, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -24,51 +24,56 @@ class Violation:
     residual: Vector
 
 
-def _parity_parts(field: Field, parity, v: Vector) -> tuple[Vector, Vector]:
-    """The even and odd components of v, each in the full coordinate space."""
-    ev = tuple(x if parity[i] == 0 else field.zero() for i, x in enumerate(v))
-    od = tuple(x if parity[i] == 1 else field.zero() for i, x in enumerate(v))
-    return ev, od
-
-
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A parity-respecting subspace, stored as two ambient-dimension subspaces.
+    """A parity-respecting subspace, held as one canonical RREF subspace.
 
-    Both components live in the full coordinate space; `even` is supported on
-    even basis positions and `odd` on odd ones, so membership of a general
-    vector is the pair of membership tests on its parity parts.
+    The RREF basis of a graded subspace W = W_0 + W_1 is the union of the
+    RREF bases of W_0 and W_1, so each row is homogeneous with the parity of
+    its pivot coordinate; `even` and `odd` read those rows back.  A vector
+    v = v_0 + v_1 lies in W iff v_0 lies in W_0 and v_1 in W_1, so
+    membership, sums and meets are those of the one subspace.
     """
 
-    even: Subspace
-    odd: Subspace
+    space: Subspace
+    parity: tuple
 
     @property
     def dim(self) -> int:
-        return self.even.dim + self.odd.dim
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.even.ambient_dim
+        return self.space.dim
 
     def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
+        return self.space.is_zero()
+
+    def _part(self, p: int) -> Subspace:
+        s = self.space
+        keep = [i for i, c in enumerate(s.pivots) if self.parity[c] == p]
+        basis = tuple(s.basis[i] for i in keep)
+        return Subspace(s.field, s.ambient_dim, basis, tuple(s.pivots[i] for i in keep))
+
+    @property
+    def even(self) -> Subspace:
+        return self._part(0)
+
+    @property
+    def odd(self) -> Subspace:
+        return self._part(1)
 
     def basis_vectors(self) -> list[Vector]:
+        """The RREF rows, even ones first."""
         return list(self.even.basis) + list(self.odd.basis)
 
-    def contains_vector(self, v: Vector, parity: list) -> bool:
-        ev, od = _parity_parts(self.even.field, parity, v)
-        return self.even.contains_vector(ev) and self.odd.contains_vector(od)
+    def contains_vector(self, v: Vector) -> bool:
+        return self.space.contains_vector(v)
 
     def contains(self, other: "GradedSubspace") -> bool:
-        return self.even.contains(other.even) and self.odd.contains(other.odd)
+        return self.space.contains(other.space)
 
     def plus(self, other: "GradedSubspace") -> "GradedSubspace":
-        return GradedSubspace(self.even.plus(other.even), self.odd.plus(other.odd))
+        return GradedSubspace(self.space.plus(other.space), self.parity)
 
-    def to_subspace(self) -> Subspace:
-        return self.even.plus(self.odd)
+    def meet(self, other: "GradedSubspace") -> "GradedSubspace":
+        return GradedSubspace(self.space.intersect(other.space), self.parity)
 
 
 @dataclass(frozen=True)
@@ -196,26 +201,21 @@ class Superalgebra:
             object.__setattr__(self, "validated", True)
         return violations
 
-    def split_parity(self, v: Vector) -> tuple[Vector, Vector]:
-        return _parity_parts(self.field, self.parity, v)
-
     def graded_span(self, vectors) -> GradedSubspace:
-        evens, odds = [], []
+        """Least graded subspace containing vectors: the span of their
+        even and odd parts."""
+        zero = self.field.zero()
+        rows = []
         for v in vectors:
-            ev, od = self.split_parity(v)
-            evens.append(ev)
-            odds.append(od)
-        return GradedSubspace(
-            Subspace.span(self.field, self.dim, evens),
-            Subspace.span(self.field, self.dim, odds),
-        )
+            for p in (0, 1):
+                rows.append(tuple(x if q == p else zero for x, q in zip(v, self.parity)))
+        return GradedSubspace(Subspace.span(self.field, self.dim, rows), self.parity)
 
     def zero_graded(self) -> GradedSubspace:
-        z = Subspace.zero(self.field, self.dim)
-        return GradedSubspace(z, z)
+        return GradedSubspace(Subspace.zero(self.field, self.dim), self.parity)
 
     def full_graded(self) -> GradedSubspace:
-        return self.graded_span([unit_vector(self.field, self.dim, i) for i in range(self.dim)])
+        return GradedSubspace(Subspace.full(self.field, self.dim), self.parity)
 
     # Each memo calls the module function through its global name, so a
     # rebinding of that name (as a tracer does) sees every computation.

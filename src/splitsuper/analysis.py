@@ -24,13 +24,9 @@ from .splitting import RootPartition, SplitDecomposition
 DEFAULT_ORACLE_BOUND = 2**20
 
 
-def space_key(space: GradedSubspace):
-    return (space.even.basis, space.odd.basis)
-
-
-def _trivial_keys(alg: Superalgebra, part: RootPartition) -> set:
-    """Keys of the ideals every algebra has here: 0, the kernel I and L."""
-    return {space_key(alg.zero_graded()), space_key(part.frak_i), space_key(alg.full_graded())}
+def _trivial_ideals(alg: Superalgebra, part: RootPartition) -> set:
+    """The ideals every algebra has here: 0, the kernel I and L."""
+    return {alg.zero_graded(), part.frak_i, alg.full_graded()}
 
 
 def _slot_product(alg: Superalgebra, a: Subspace, b: Subspace) -> list:
@@ -87,8 +83,7 @@ def lie_annihilator(dec: SplitDecomposition, part: RootPartition) -> GradedSubsp
     for root in dec.sorted_roots():
         if root in kernel_roots:
             continue
-        even, odd = dec.root_space(root)
-        for w in list(even.basis) + list(odd.basis):
+        for w in dec.root_space(root).basis_vectors():
             for side in alg.basis_brackets(w):
                 rows.extend(zip(*side))
     if not rows:
@@ -107,10 +102,8 @@ def h_lambda_space(dec: SplitDecomposition) -> GradedSubspace:
         neg = -root
         if not dec.is_root(neg):
             continue
-        even, odd = dec.root_space(root)
-        neg_even, neg_odd = dec.root_space(neg)
-        for x in list(even.basis) + list(odd.basis):
-            for y in list(neg_even.basis) + list(neg_odd.basis):
+        for x in dec.root_space(root).basis_vectors():
+            for y in dec.root_space(neg).basis_vectors():
                 gens.append(alg.product(x, y))
     return alg.graded_span(gens)
 
@@ -131,30 +124,21 @@ class HypothesisReport:
 
 
 def _product_span_check(dec: SplitDecomposition, part: RootPartition) -> bool:
-    """Even and odd parts of the splitting subalgebra must be spanned by
-    the opposite-slot products over roots outside the kernel set."""
+    """The splitting subalgebra must be spanned by the opposite-slot
+    products over roots outside the kernel set."""
     alg = dec.algebra
-    f = alg.field
-    even_gens: list = []
-    odd_gens: list = []
+    gens: list = []
     for parity in (0, 1):
         for root in sorted(part.lambda_not_i[parity]):
             for neg_parity in (0, 1):
-                source = dec.slot(-root, neg_parity)
-                prods = _slot_product(alg, source, dec.slot(root, parity))
-                if (neg_parity + parity) % 2 == 0:
-                    even_gens.extend(prods)
-                else:
-                    odd_gens.extend(prods)
-    even_span = Subspace.span(f, alg.dim, even_gens)
-    odd_span = Subspace.span(f, alg.dim, odd_gens)
-    return even_span == dec.cartan.even and odd_span == dec.cartan.odd
+                gens += _slot_product(alg, dec.slot(-root, neg_parity), dec.slot(root, parity))
+    return alg.graded_span(gens) == dec.cartan
 
 
 def hypothesis_report(dec: SplitDecomposition, part: RootPartition) -> HypothesisReport:
     alg = dec.algebra
     h_lam = h_lambda_space(dec)
-    h_eq = h_lam.even == dec.cartan.even and h_lam.odd == dec.cartan.odd
+    h_eq = h_lam == dec.cartan
     rm_flag, rm_violations = root_multiplicative(dec, part)
     product_span = _product_span_check(dec, part) if h_eq else None
     z_lie = lie_annihilator(dec, part)
@@ -213,7 +197,7 @@ def theorem_verdict(
             "Simple", "TheoremMode", notes=("all slot pairs connected on both sides",)
         )
     alg = dec.algebra
-    targets = _trivial_keys(alg, part)
+    targets = _trivial_ideals(alg, part)
     for upsilon in ("notI", "I"):
         info = conn[upsilon]
         if info["connected"]:
@@ -221,7 +205,7 @@ def theorem_verdict(
         for root, parity in info["failing_pair"]:
             seed = alg.graded_span(dec.slot(root, parity).basis)
             ideal = generated_ideal(alg, seed)
-            if space_key(ideal) not in targets and 0 < ideal.dim < alg.dim:
+            if ideal not in targets and 0 < ideal.dim < alg.dim:
                 return SimplicityVerdict(
                     "NotSimple",
                     "TheoremMode",
@@ -274,65 +258,24 @@ def oracle_verdict(
     if not part.maximal_length:
         raise ValueError("ideal enumeration requires one-dimensional slots")
     alg = dec.algebra
-    f = alg.field
-    parity = list(alg.parity)
     slots = dec.occupied_slots()
     n_slots = len(slots)
     slot_vec = [dec.slot(r, p).basis[0] for r, p in slots]
     slot_index = {key: i for i, key in enumerate(slots)}
 
-    # Subalgebra-part lattice: sums of opposite-slot product lines, plus 0 and H.
-    line_vecs = []
-    line_keys = set()
-    for i, (r1, p1) in enumerate(slots):
-        for j, (r2, p2) in enumerate(slots):
-            if not (r1 + r2).is_zero():
-                continue
-            v = alg.product(slot_vec[i], slot_vec[j])
-            if not any(v):
-                continue
-            if not dec.cartan.contains_vector(v, parity):
-                raise VerificationError("opposite-slot product escaped the subalgebra", v)
-            key = Subspace.span(f, alg.dim, [v]).basis
-            if key not in line_keys:
-                line_keys.add(key)
-                line_vecs.append(v)
-    zero_member = alg.zero_graded()
-    members = {space_key(zero_member): (zero_member, ())}
-    frontier = [zero_member]
-    while frontier:
-        nxt = []
-        for member in frontier:
-            for v in line_vecs:
-                grown = member.plus(alg.graded_span([v]))
-                key = space_key(grown)
-                if key not in members:
-                    gens = members[space_key(member)][1] + (v,)
-                    members[key] = (grown, gens)
-                    nxt.append(grown)
-        frontier = nxt
-    full_h_key = space_key(dec.cartan)
-    if full_h_key not in members:
-        members[full_h_key] = (dec.cartan, tuple(dec.cartan.basis_vectors()))
-    lattice = _canonical_order([m for m, _ in members.values()])
-    lattice_gens = {space_key(m): members[space_key(m)][1] for m in lattice}
-    complete = dec.cartan.dim <= 1
-
-    candidates = len(lattice) * (2**n_slots)
-    if candidates > bound:
-        raise OracleBoundExceeded(candidates, bound)
-
     # Product incidence tables. Entries: None for zero, ("slot", k), or
-    # ("h", line_index) into h_vectors.
+    # ("h", k) into h_vectors, the opposite-slot product lines in H.
     h_vectors: list = []
-    h_vector_keys: dict = {}
+    h_lines: dict = {}  # line -> index into h_vectors
 
     def h_ref(v) -> int:
-        key = Subspace.span(f, alg.dim, [v]).basis
-        if key not in h_vector_keys:
-            h_vector_keys[key] = len(h_vectors)
+        line = alg.graded_span([v])
+        if line not in h_lines:
+            if not dec.cartan.contains_vector(v):
+                raise VerificationError("opposite-slot product escaped the subalgebra", v)
+            h_lines[line] = len(h_vectors)
             h_vectors.append(v)
-        return h_vector_keys[key]
+        return h_lines[line]
 
     pair_table = [[None] * n_slots for _ in range(n_slots)]
     for i in range(n_slots):
@@ -343,14 +286,35 @@ def oracle_verdict(
             if not any(v):
                 continue
             total = r1 + r2
-            t_parity = (p1 + p2) % 2
             if total.is_zero():
                 pair_table[i][j] = ("h", h_ref(v))
             else:
-                target = slot_index.get((total, t_parity))
+                target = slot_index.get((total, (p1 + p2) % 2))
                 if target is None:
                     raise VerificationError("slot product escaped the decomposition", v)
                 pair_table[i][j] = ("slot", target)
+
+    # Subalgebra-part lattice: sums of the product lines, plus 0 and H; each
+    # member maps to the line vectors that generate it.
+    zero_member = alg.zero_graded()
+    members = {zero_member: ()}
+    frontier = [zero_member]
+    while frontier:
+        nxt = []
+        for member in frontier:
+            for line, k in h_lines.items():
+                grown = member.plus(line)
+                if grown not in members:
+                    members[grown] = members[member] + (h_vectors[k],)
+                    nxt.append(grown)
+        frontier = nxt
+    members.setdefault(dec.cartan, tuple(dec.cartan.basis_vectors()))
+    lattice = _canonical_order(members)
+    complete = dec.cartan.dim <= 1
+
+    candidates = len(lattice) * (2**n_slots)
+    if candidates > bound:
+        raise OracleBoundExceeded(candidates, bound)
 
     def forced_slots(h, t: int, what: str) -> set:
         """Slots hit by h acting on slot t from either side; the action of
@@ -393,10 +357,11 @@ def oracle_verdict(
     for m in lattice:
         # Slots forced by the member's generators acting on any slot, and
         # the slots whose product lines the member lacks.
-        gens = lattice_gens[space_key(m)]
-        forced = set().union(*(forced_slots(g, t, "lattice") for g in gens for t in range(n_slots)))
+        forced = set().union(
+            *(forced_slots(g, t, "lattice") for g in members[m] for t in range(n_slots))
+        )
         req = sum(1 << u for u in forced)
-        lacking = sum(1 << i for i, v in enumerate(h_vectors) if not m.contains_vector(v, parity))
+        lacking = sum(1 << i for i, v in enumerate(h_vectors) if not m.contains_vector(v))
         barred = sum(1 << s for s in range(n_slots) if needs_line[s] & lacking)
         for mask in range(2**n_slots):
             if mask & req != req or mask & barred:
@@ -405,16 +370,13 @@ def oracle_verdict(
             if all(not need[s] & ~mask for s in chosen):
                 found.append(m.plus(alg.graded_span([slot_vec[s] for s in chosen])))
 
-    dedup = {}
-    for space in found:
-        dedup[space_key(space)] = space
-    found_sorted = _canonical_order(dedup.values())
+    found_sorted = _canonical_order(set(found))
     for space in found_sorted:
         if not is_graded_ideal(alg, space):
             raise VerificationError("enumerated candidate failed independent recheck", space)
 
-    target_keys = _trivial_keys(alg, part)
-    extras = [s for s in found_sorted if space_key(s) not in target_keys]
+    targets = _trivial_ideals(alg, part)
+    extras = [s for s in found_sorted if s not in targets]
 
     def result(verdict: str, **extra) -> OracleResult:
         return OracleResult(
@@ -426,28 +388,20 @@ def oracle_verdict(
     if extras:
         return result("NotSimple", certificate_ideal=extras[0], certificate_kind="ideal")
     if complete:
-        if {space_key(s) for s in found_sorted} != target_keys:
+        if set(found_sorted) != targets:
             raise VerificationError("exhaustive enumeration missed a required ideal", found_sorted)
         return result("Simple")
     return result("Undetermined", notes=("subalgebra lattice not exhaustive",))
 
 
 def ideal_root_aligned(dec: SplitDecomposition, space: GradedSubspace) -> bool:
-    """space must equal its meet with the subalgebra plus whole slots."""
-    rebuilt = _graded_meet(space, dec.cartan)
-    for root, parity in dec.occupied_slots():
-        slot = dec.slot(root, parity)
-        part = space.even if parity == 0 else space.odd
-        meet = part.intersect(slot)
-        if meet.is_zero():
-            continue
-        if meet.dim != slot.dim:
-            return False
-        if parity == 0:
-            rebuilt = GradedSubspace(rebuilt.even.plus(slot), rebuilt.odd)
-        else:
-            rebuilt = GradedSubspace(rebuilt.even, rebuilt.odd.plus(slot))
-    return space_key(rebuilt) == space_key(space)
+    """space must equal its meet with the subalgebra plus whole slots.
+
+    No slot met only in part needs its own test: H plus the slots is direct,
+    so such a slot's meet lies outside the rebuilt space.
+    """
+    inside = _span_slots(dec, _slots_inside(dec, space))
+    return space.meet(dec.cartan).plus(inside) == space
 
 
 def lemma_checks(
@@ -462,8 +416,7 @@ def lemma_checks(
     violations = []
     frak_i = part.frak_i
     h_plus_i = dec.cartan.plus(frak_i)
-    full_key = space_key(alg.full_graded())
-    i_key = space_key(frak_i)
+    full = alg.full_graded()
 
     prop_full = (
         hyp.h_equals_h_lambda
@@ -482,12 +435,11 @@ def lemma_checks(
         if not ideal_root_aligned(dec, space):
             violations.append(("not_root_aligned", space))
         inside_h_plus_i = h_plus_i.contains(space)
-        if prop_full and not inside_h_plus_i and space_key(space) != full_key:
+        if prop_full and not inside_h_plus_i and space != full:
             violations.append(("outside_ideal_not_full", space))
-        if prop_kernel and space.dim > 0 and frak_i.contains(space) and space_key(space) != i_key:
+        if prop_kernel and space.dim > 0 and frak_i.contains(space) and space != frak_i:
             violations.append(("kernel_ideal_not_kernel", space))
-        meet = _graded_meet(space, dec.cartan)
-        if inside_h_plus_i and not hyp.lie_annihilator.contains(meet):
+        if inside_h_plus_i and not hyp.lie_annihilator.contains(space.meet(dec.cartan)):
             violations.append(("subalgebra_meet_escapes_annihilator", space))
     return violations
 
@@ -508,13 +460,11 @@ class ClassifyPreconditionError(ValueError):
 
 
 def _slots_inside(dec: SplitDecomposition, space: GradedSubspace) -> set:
-    out = set()
-    for root, parity in dec.occupied_slots():
-        slot = dec.slot(root, parity)
-        part = space.even if parity == 0 else space.odd
-        if part.contains(slot):
-            out.add((root, parity))
-    return out
+    return {
+        (root, parity)
+        for root, parity in dec.occupied_slots()
+        if all(space.contains_vector(v) for v in dec.slot(root, parity).basis)
+    }
 
 
 def _span_slots(dec: SplitDecomposition, keys) -> GradedSubspace:
@@ -525,24 +475,20 @@ def _span_slots(dec: SplitDecomposition, keys) -> GradedSubspace:
     return alg.graded_span(vectors)
 
 
-def _graded_meet(space: GradedSubspace, other: GradedSubspace) -> GradedSubspace:
-    return GradedSubspace(space.even.intersect(other.even), space.odd.intersect(other.odd))
-
-
 def _direct_sum_is(alg, parts, whole: GradedSubspace) -> bool:
     total = alg.zero_graded()
     dim_sum = 0
     for p in parts:
         total = total.plus(p)
         dim_sum += p.dim
-    return dim_sum == whole.dim and space_key(total) == space_key(whole)
+    return dim_sum == whole.dim and total == whole
 
 
 def _match_case2(dec, part, ideal):
     alg = dec.algebra
     if alg.field.characteristic == 2:
         return None
-    if not _graded_meet(ideal, dec.cartan).is_zero():
+    if not ideal.meet(dec.cartan).is_zero():
         return None
     frak_i = part.frak_i
     if not frak_i.contains(ideal):
@@ -577,7 +523,7 @@ def _match_case2(dec, part, ideal):
         k_space = _span_slots(dec, k_keys)
         if not is_subalgebra(alg, k_space):
             continue
-        if _slot_product(alg, k_space.to_subspace(), k_space.to_subspace()):
+        if _slot_product(alg, k_space.space, k_space.space):
             continue  # the template complement must be abelian
         if not _direct_sum_is(alg, [ideal, k_space], frak_i):
             continue
@@ -611,7 +557,7 @@ def _match_case3(dec, part, ideal):
         )
         kernel_in = islots & set(part.upsilon_slots("I"))
         rebuilt = h_line.plus(_span_slots(dec, {(alpha, i_par)} | kernel_in))
-        if space_key(rebuilt) != space_key(ideal):
+        if rebuilt != ideal:
             continue
         k_space = alg.graded_span(
             _slot_product(alg, other, other) + list(other.basis)
@@ -647,7 +593,7 @@ def _match_case4(dec, part, ideal):
     kernel_slots = set(part.upsilon_slots("I"))
     kernel_in = islots & kernel_slots
     kernel_out = kernel_slots - islots
-    meet_h = _graded_meet(ideal, dec.cartan)
+    meet_h = ideal.meet(dec.cartan)
     rest = _span_slots(dec, kernel_out)
 
     def occupied(root, parity):
@@ -658,7 +604,6 @@ def _match_case4(dec, part, ideal):
             o_par = (i_par + 1) % 2
             if (base, i_par) not in islots:
                 continue
-            own = dec.slot(base, i_par)
             non_i = islots - kernel_slots
 
             # Variant with a three-dimensional non-kernel block and the even
@@ -671,12 +616,9 @@ def _match_case4(dec, part, ideal):
                 and meet_h.even.is_zero()
                 and meet_h.odd == dec.cartan.odd
             ):
-                rebuilt = GradedSubspace(
-                    Subspace.zero(f, alg.dim), dec.cartan.odd
-                ).plus(_span_slots(dec, {(base, i_par)} | kernel_in))
-                if space_key(rebuilt) == space_key(ideal):
-                    k_space = GradedSubspace(dec.cartan.even, Subspace.zero(f, alg.dim))
-                    k_space = k_space.plus(
+                rebuilt = meet_h.plus(_span_slots(dec, {(base, i_par)} | kernel_in))
+                if rebuilt == ideal:
+                    k_space = alg.graded_span(dec.cartan.even.basis).plus(
                         _span_slots(dec, {(base, o_par), (-base, o_par)})
                     ).plus(rest)
                     if is_subalgebra(alg, k_space) and _direct_sum_is(
@@ -696,17 +638,15 @@ def _match_case4(dec, part, ideal):
                 and non_i == {(base, i_par), (-base, i_par)}
                 and meet_h.odd == dec.cartan.odd
             ):
-                rebuilt = GradedSubspace(meet_h.even, dec.cartan.odd).plus(
-                    _span_slots(dec, non_i | kernel_in)
-                )
-                if space_key(rebuilt) == space_key(ideal):
+                rebuilt = meet_h.plus(_span_slots(dec, non_i | kernel_in))
+                if rebuilt == ideal:
                     k_even_gens = []
                     for eps_root in (base, -base):
                         prods = _slot_product(
                             alg, dec.slot(eps_root, o_par), dec.slot(-eps_root, o_par)
                         )
                         line = alg.graded_span(prods)
-                        if line.is_zero() or not _graded_meet(line, ideal).is_zero():
+                        if line.is_zero() or not line.meet(ideal).is_zero():
                             continue
                         k_even_gens.extend(prods)
                     k_space = alg.graded_span(k_even_gens).plus(
@@ -722,7 +662,7 @@ def _match_case4(dec, part, ideal):
             # Variant holding a single non-kernel slot with free subalgebra meet.
             if four_dim and non_i == {(base, i_par)}:
                 rebuilt = meet_h.plus(_span_slots(dec, {(base, i_par)} | kernel_in))
-                if space_key(rebuilt) == space_key(ideal):
+                if rebuilt == ideal:
                     k_gens = []
                     for k_par in (0, 1):
                         for eps_root in (base, -base):
@@ -735,7 +675,7 @@ def _match_case4(dec, part, ideal):
                                 line = alg.graded_span(prods)
                                 if line.is_zero():
                                     continue
-                                if _graded_meet(line, ideal).is_zero():
+                                if line.meet(ideal).is_zero():
                                     k_gens.extend(prods)
                     k_space = alg.graded_span(k_gens).plus(
                         _span_slots(
@@ -777,8 +717,8 @@ def classify(
             characteristic=alg.field.characteristic,
             diagnostics=("enumeration inconclusive",),
         )
-    target_keys = _trivial_keys(alg, part)
-    extras = [s for s in oracle.found_ideals if space_key(s) not in target_keys]
+    targets = _trivial_ideals(alg, part)
+    extras = [s for s in oracle.found_ideals if s not in targets]
     for extra in extras:
         for matcher in (_match_case2, _match_case3, _match_case4):
             result = matcher(dec, part, extra)

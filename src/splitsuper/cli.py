@@ -32,7 +32,7 @@ from .connections import (
     decompose,
     neg_i_connected,
 )
-from .documents import DocumentError, canonical_json, parse_document
+from .documents import DocumentError, canonical_json, load_path
 from .fields import FieldError, parse_field_spec
 from .generators import fuzz_corpus, gen_example1, gen_example2
 from .reports import (
@@ -78,13 +78,9 @@ def _load(path: str, field_spec: str):
         except FieldError as exc:
             raise UsageError(str(exc)) from exc
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        return load_path(path, override)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_document(obj, field_override=override)
 
 
 def _oracle_bound(flag) -> int:

@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .algebra import GradedSubspace, Superalgebra
-from .linalg import Subspace
 from .splitting import Root, RootPartition, SplitDecomposition
 
 
@@ -144,22 +143,20 @@ class ClassIdeal:
 
 def is_graded_ideal(alg: Superalgebra, space: GradedSubspace) -> bool:
     """Two-sided product closure check on basis vectors."""
-    parity = list(alg.parity)
     for w in space.basis_vectors():
         for side in alg.basis_brackets(w):
             for prod in side:
-                if any(prod) and not space.contains_vector(prod, parity):
+                if any(prod) and not space.contains_vector(prod):
                     return False
     return True
 
 
 def is_subalgebra(alg: Superalgebra, space: GradedSubspace) -> bool:
-    parity = list(alg.parity)
     vectors = space.basis_vectors()
     for x in vectors:
         for y in vectors:
             prod = alg.product(x, y)
-            if any(prod) and not space.contains_vector(prod, parity):
+            if any(prod) and not space.contains_vector(prod):
                 return False
     return True
 
@@ -169,14 +166,12 @@ def class_ideal(dec: SplitDecomposition, cls) -> ClassIdeal:
     h_gens = []
     v_gens = []
     for root in cls:
-        even, odd = dec.root_space(root)
-        v_gens.extend(even.basis)
-        v_gens.extend(odd.basis)
+        vectors = dec.root_space(root).basis_vectors()
+        v_gens.extend(vectors)
         neg = -root
         if dec.is_root(neg):
-            neg_even, neg_odd = dec.root_space(neg)
-            for x in list(even.basis) + list(odd.basis):
-                for y in list(neg_even.basis) + list(neg_odd.basis):
+            for x in vectors:
+                for y in dec.root_space(neg).basis_vectors():
                     h_gens.append(alg.product(x, y))
     h_part = alg.graded_span(h_gens)
     v_part = alg.graded_span(v_gens)
@@ -203,7 +198,6 @@ class ClassDecomposition:
 def decompose(dec: SplitDecomposition) -> ClassDecomposition:
     """Class ideals, the complement of their span inside H, and sum checks."""
     alg = dec.algebra
-    f = alg.field
     classes = connection_classes(dec)
     ideals = [class_ideal(dec, cls) for cls in classes]
 
@@ -211,18 +205,14 @@ def decompose(dec: SplitDecomposition) -> ClassDecomposition:
     for ci in ideals:
         h_lambda = h_lambda.plus(ci.h_part)
 
-    def complement(inside: Subspace, whole: Subspace) -> Subspace:
-        """Span of the basis vectors of whole that extend inside greedily."""
-        chosen = []
-        for v in whole.basis:
-            if not inside.contains_vector(v):
-                chosen.append(v)
-                inside = inside.plus(Subspace.span(f, alg.dim, [v]))
-        return Subspace.span(f, alg.dim, chosen)
-
-    u_space = GradedSubspace(
-        complement(h_lambda.even, dec.cartan.even), complement(h_lambda.odd, dec.cartan.odd)
-    )
+    # The complement: basis vectors of H that extend h_lambda, chosen greedily.
+    inside = h_lambda
+    chosen = []
+    for v in dec.cartan.basis_vectors():
+        if not inside.contains_vector(v):
+            chosen.append(v)
+            inside = inside.plus(alg.graded_span([v]))
+    u_space = alg.graded_span(chosen)
     if u_space.dim + h_lambda.dim != dec.cartan.dim:
         raise VerificationError("complement construction failed", u_space)
 

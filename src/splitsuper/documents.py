@@ -172,14 +172,18 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(rebuilt, sort_keys=True, indent=2) + "\n"
 
 
-def load_path(path) -> tuple:
-    """Returns (algebra, cartan vectors or None, meta or None)."""
+def load_path(path, field_override: Field = None) -> tuple:
+    """Returns (algebra, cartan vectors or None, meta or None).
+
+    A file that cannot be read raises OSError; one whose bytes are not
+    UTF-8 JSON raises DocumentError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-    return parse_document(obj)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+    return parse_document(obj, field_override=field_override)
 
 
 def save_path(doc: dict, path) -> None:

@@ -71,12 +71,12 @@ def split_json(dec: SplitDecomposition) -> dict:
     f = dec.algebra.field
     roots = []
     for root in dec.sorted_roots():
-        even, odd = dec.root_space(root)
+        space = dec.root_space(root)
         roots.append(
             {
                 "values": root_json(f, root),
-                "even_basis": [vector_json(f, v) for v in even.basis],
-                "odd_basis": [vector_json(f, v) for v in odd.basis],
+                "even_basis": [vector_json(f, v) for v in space.even.basis],
+                "odd_basis": [vector_json(f, v) for v in space.odd.basis],
             }
         )
     return {

@@ -70,31 +70,28 @@ class SplitDecomposition:
     algebra: Superalgebra
     cartan: GradedSubspace
     h0_basis: tuple  # ordered even generators, the functional domain basis
-    roots: dict  # Root -> (even: Subspace, odd: Subspace)
+    roots: dict  # Root -> GradedSubspace
     zero_space: GradedSubspace
 
     def sorted_roots(self) -> list[Root]:
         return sorted(self.roots)
 
-    def root_space(self, root: Root) -> tuple[Subspace, Subspace]:
+    def root_space(self, root: Root) -> GradedSubspace:
         return self.roots[root]
 
     def slot(self, root: Root, parity: int) -> Subspace:
-        if root.is_zero():
-            pair = (self.cartan.even, self.cartan.odd)
-        else:
-            pair = self.roots.get(root)
-            if pair is None:
-                return Subspace.zero(self.algebra.field, self.algebra.dim)
-        return pair[parity % 2]
+        space = self.cartan if root.is_zero() else self.roots.get(root)
+        if space is None:
+            return Subspace.zero(self.algebra.field, self.algebra.dim)
+        return space.odd if parity % 2 else space.even
 
     def occupied_slots(self) -> list[tuple[Root, int]]:
         out = []
         for root in self.sorted_roots():
-            even, odd = self.roots[root]
-            if not even.is_zero():
+            space = self.roots[root]
+            if not space.even.is_zero():
                 out.append((root, 0))
-            if not odd.is_zero():
+            if not space.odd.is_zero():
                 out.append((root, 1))
         return out
 
@@ -177,7 +174,7 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
                 refined.append((prefix + (lam,), Subspace.span(f, alg.dim, lifted)))
         pieces = refined
 
-    roots: dict[Root, tuple[Subspace, Subspace]] = {}
+    roots: dict[Root, GradedSubspace] = {}
     zero_space = None
     for prefix, piece in pieces:
         graded = alg.graded_span(piece.basis)
@@ -191,22 +188,18 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
         if root.is_zero():
             zero_space = graded
         else:
-            roots[root] = (graded.even, graded.odd)
+            roots[root] = graded
 
     if zero_space is None:
         zero_space = alg.zero_graded()
-    if not (zero_space.even == cartan.even and zero_space.odd == cartan.odd):
-        outside = [
-            v
-            for v in zero_space.basis_vectors()
-            if not cartan.contains_vector(v, list(alg.parity))
-        ]
+    if zero_space != cartan:
+        outside = [v for v in zero_space.basis_vectors() if not cartan.contains_vector(v)]
         raise NotSplitError(
             "zero_space_mismatch",
             {"zero_space": zero_space, "outside": outside},
             "the zero eigenvalue space differs from the input subalgebra",
         )
-    total = zero_space.dim + sum(e.dim + o.dim for e, o in roots.values())
+    total = zero_space.dim + sum(space.dim for space in roots.values())
     if total != alg.dim:
         raise NotSplitError(
             "covering_failure",

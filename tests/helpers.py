@@ -204,6 +204,28 @@ def split_operators(doc: dict, field_spec: str = None) -> list:
 
 
 # ---------------------------------------------------------------------------
+# reference graded subspace: the per-parity pair form, an even and an odd
+# subspace each spanned on its own, which GradedSubspace must agree with
+
+
+def parity_parts(field, parity: Sequence[int], v: tuple) -> tuple[tuple, tuple]:
+    """The even and odd components of v, each in the full coordinate space."""
+    zero = field.zero()
+    return tuple(
+        tuple(x if q == p else zero for x, q in zip(v, parity)) for p in (0, 1)
+    )
+
+
+def reference_graded_parts(field, parity: Sequence[int], vectors) -> tuple:
+    """(even, odd): Subspace.span of the vectors' even parts, and of their
+    odd parts, each spanned on its own."""
+    parts = [parity_parts(field, parity, v) for v in vectors]
+    return tuple(
+        ss.Subspace.span(field, len(parity), [part[p] for part in parts]) for p in (0, 1)
+    )
+
+
+# ---------------------------------------------------------------------------
 # closure oracles on raw vectors
 
 

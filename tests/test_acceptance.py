@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import splitsuper as ss
-from splitsuper.analysis import space_key
 from splitsuper.linalg import Subspace
 
 from helpers import analyze_doc, corpus, two_block_doc
@@ -228,14 +227,10 @@ def test_criterion_5_simplicity_verdicts():
     ):
         a = analyze_doc(maker())
         oracle = ss.oracle_verdict(a.dec, a.part, 1 << 20)
-        expected = {
-            space_key(a.alg.zero_graded()),
-            space_key(a.kernel),
-            space_key(a.alg.full_graded()),
-        }
+        expected = {a.alg.zero_graded(), a.kernel, a.alg.full_graded()}
         if oracle.verdict != "Simple":
             failures.append(f"{label}: oracle says {oracle.verdict}")
-        if {space_key(s) for s in oracle.found_ideals} != expected:
+        if set(oracle.found_ideals) != expected:
             failures.append(f"{label}: ideal set not {{0, kernel, everything}}")
         if oracle.candidates_checked != candidates:
             failures.append(f"{label}: {oracle.candidates_checked} candidates")
@@ -251,12 +246,8 @@ def test_criterion_5_simplicity_verdicts():
     if cert is None or not ss.is_graded_ideal(blocks.alg, cert):
         failures.append("two-block: certificate does not re-validate")
     else:
-        trivial = {
-            space_key(blocks.alg.zero_graded()),
-            space_key(blocks.kernel),
-            space_key(blocks.alg.full_graded()),
-        }
-        if space_key(cert) in trivial:
+        trivial = {blocks.alg.zero_graded(), blocks.kernel, blocks.alg.full_graded()}
+        if cert in trivial:
             failures.append("two-block: certificate is not a proper witness")
 
     gate("simplicity verdicts", failures, time.perf_counter() - t0, 5.0)

@@ -16,6 +16,17 @@ from helpers import (
 )
 
 
+def double_slot_doc() -> dict:
+    """Two even basis vectors sharing root 2, so their slot is 2-dimensional."""
+    return {
+        "field": "Q",
+        "dim": 3,
+        "parity": [0, 0, 0],
+        "products": [[1, 0, [[1, "2"]]], [2, 0, [[2, "2"]]]],
+        "cartan": [["1", "0", "0"]],
+    }
+
+
 def kernel_gap_doc() -> dict:
     """Kernel module with a vanishing product into an occupied kernel root.
 
@@ -179,14 +190,7 @@ class TestOracle:
         assert exc.value.bound == 4
 
     def test_requires_maximal_length(self) -> None:
-        doc = {
-            "field": "Q",
-            "dim": 3,
-            "parity": [0, 0, 0],
-            "products": [[1, 0, [[1, "2"]]], [2, 0, [[2, "2"]]]],
-            "cartan": [["1", "0", "0"]],
-        }
-        a = analyze_doc(doc)
+        a = analyze_doc(double_slot_doc())
         assert not a.part.maximal_length
         with pytest.raises(ValueError):
             ss.oracle_verdict(a.dec, a.part)
@@ -218,6 +222,13 @@ class TestRootAlignment:
         )
         assert diag.dim == 1
         assert not ss.ideal_root_aligned(a.dec, diag)
+
+    def test_part_of_a_two_dimensional_slot_is_not_aligned(self) -> None:
+        a = analyze_doc(double_slot_doc())
+        e1, e2 = ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))
+        assert a.dec.slot(a.dec.sorted_roots()[0], 0).dim == 2
+        assert not ss.ideal_root_aligned(a.dec, a.alg.graded_span([e1]))
+        assert ss.ideal_root_aligned(a.dec, a.alg.graded_span([e1, e2]))
 
 
 class TestLemmaChecks:

@@ -60,6 +60,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "invalid JSON" in err
 
+    def test_non_utf8_bytes_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"field": "Q", "meta": {"name": "caf\xe9"}}')
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
         err = capsys.readouterr().err

@@ -36,6 +36,8 @@ from helpers import (
     gf_roots,
     gf_rref,
     osp12_doc,
+    parity_parts,
+    reference_graded_parts,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -229,6 +231,66 @@ class TestPrimeFieldLinalgAgainstSympy:
         assert eig.covered_dim == sum(space.dim for _, space in eig.pairs)
 
 
+@st.composite
+def graded_inputs(draw):
+    """(field, parity, gens_a, gens_b, probes) over Q or F_p for p in PRIMES;
+    each vector is even, odd or mixed, with entries biased toward 0 and +-1."""
+    field = draw(st.sampled_from([Rationals()] + [PrimeField(p) for p in PRIMES]))
+    n = draw(st.integers(1, 6))
+    parity = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if isinstance(field, PrimeField):
+        p = field.p
+        entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    else:
+        entry = st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), small_fractions
+        )
+
+    def vectors(most: int) -> list:
+        out = []
+        for _ in range(draw(st.integers(0, most))):
+            v = draw(st.lists(entry, min_size=n, max_size=n))
+            keep = draw(st.sampled_from((0, 1, None)))  # even, odd or mixed
+            out.append(tuple(x if keep in (None, q) else field.zero() for x, q in zip(v, parity)))
+        return out
+
+    return field, parity, vectors(4), vectors(4), vectors(6)
+
+
+class TestGradedSubspaceAgainstPairForm:
+    """GradedSubspace against the per-parity pair form of the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=graded_inputs())
+    def test_views_and_operations_match_the_pair_form(self, data):
+        field, parity, gens_a, gens_b, probes = data
+        alg = ss.Superalgebra(field, len(parity), parity, {})
+        a, b = alg.graded_span(gens_a), alg.graded_span(gens_b)
+        ref_a = reference_graded_parts(field, parity, gens_a)
+        ref_b = reference_graded_parts(field, parity, gens_b)
+        for space, (even, odd) in ((a, ref_a), (b, ref_b)):
+            assert (space.even, space.odd) == (even, odd)
+            assert (space.even.pivots, space.odd.pivots) == (even.pivots, odd.pivots)
+            assert space.basis_vectors() == list(even.basis) + list(odd.basis)
+            assert space.dim == even.dim + odd.dim
+        total = a.plus(b)
+        ref_total = (ref_a[0].plus(ref_b[0]), ref_a[1].plus(ref_b[1]))
+        assert (total.even, total.odd) == ref_total
+        meet = a.meet(b)
+        assert (meet.even, meet.odd) == (ref_a[0].intersect(ref_b[0]), ref_a[1].intersect(ref_b[1]))
+        pairs = ((a, ref_a), (b, ref_b), (total, ref_total))
+        for x, ref_x in pairs:
+            for y, ref_y in pairs:
+                expected = ref_x[0].contains(ref_y[0]) and ref_x[1].contains(ref_y[1])
+                assert x.contains(y) == expected
+        summed = [field.reduce(sum(col) for col in zip(*gens_a))] if gens_a else []
+        for v in probes + gens_a + gens_b + summed:
+            ev, od = parity_parts(field, parity, v)
+            for x, (even, odd) in pairs:
+                expected = even.contains_vector(ev) and odd.contains_vector(od)
+                assert x.contains_vector(v) == expected
+
+
 root_tuples = st.lists(small_fractions, min_size=2, max_size=2).map(tuple)
 
 
@@ -322,18 +384,7 @@ class TestGeneratedIdealLaws:
         alg, _, _ = ss.parse_document(ss.gen_example1())
         alg.validate()
         f = alg.field
-        seed = ss.GradedSubspace(
-            Subspace.span(
-                f, 5, [tuple(f.one() if i == index else f.zero() for i in range(5))]
-            )
-            if alg.parity[index] == 0
-            else Subspace.zero(f, 5),
-            Subspace.span(
-                f, 5, [tuple(f.one() if i == index else f.zero() for i in range(5))]
-            )
-            if alg.parity[index] == 1
-            else Subspace.zero(f, 5),
-        )
+        seed = alg.graded_span([tuple(f.one() if i == index else f.zero() for i in range(5))])
         ideal = ss.generated_ideal(alg, seed)
         assert ideal.contains(seed)
         assert ss.generated_ideal(alg, ideal) == ideal
@@ -361,8 +412,8 @@ def _scalars_of(dec, result) -> list:
     for entry in result.ideals:
         spaces += [entry.h_part, entry.v_part, entry.ideal]
     vectors = [v for space in spaces for v in space.basis_vectors()]
-    for even, odd in dec.roots.values():
-        vectors += list(even.basis) + list(odd.basis)
+    for space in dec.roots.values():
+        vectors += space.basis_vectors()
     vectors += [root.values for root in dec.roots]
     return [x for v in vectors for x in v]
 

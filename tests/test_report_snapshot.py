@@ -13,7 +13,8 @@ over example1, ``gen_example2(1)`` and ``gen_example2(3)`` read with
 ``gen_example2(1)`` and ``gen_example2(3)`` read with ``--field Fp:p`` for
 p = 2, 3, 7 and 13 (primes at most the dimension included).
 ``corpus_digests.txt`` holds the recorded output; an empty diff means
-every one of those reports is unchanged (about a minute):
+every one of those reports is unchanged (about 15 s on a 2-CPU host with
+CPython 3.11):
 
     PYTHONPATH=src python tests/test_report_snapshot.py | diff tests/corpus_digests.txt -
 """

@@ -39,11 +39,11 @@ class TestSplitHappyPath:
         values = sorted(r.values[0] for r in a.dec.roots)
         assert values == [Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)]
         for root in a.dec.roots:
-            even, odd = a.dec.root_space(root)
+            space = a.dec.root_space(root)
             if abs(root.values[0]) == 2:
-                assert (even.dim, odd.dim) == (1, 0)
+                assert (space.even.dim, space.odd.dim) == (1, 0)
             else:
-                assert (even.dim, odd.dim) == (0, 1)
+                assert (space.even.dim, space.odd.dim) == (0, 1)
         assert a.dec.cartan.dim == 1
         assert verify_clean(a.dec)
 
