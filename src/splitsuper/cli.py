@@ -365,13 +365,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-simple", action="store_true")
     p.set_defaults(func=cmd_report, stages=_analyze_stages)
 
-    p = sub.add_parser("gen", parents=[shared], help="emit a named example document")
+    p = sub.add_parser("gen", help="emit a named example document")
     p.add_argument("which", choices=["example1", "example2"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fuzz", parents=[shared], help="write a deterministic corpus")
+    p = sub.add_parser("fuzz", help="write a deterministic corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("-o", "--output", required=True)

@@ -1,14 +1,16 @@
 """Chain connectivity between roots and the resulting ideal decompositions.
 
-Two engines live here. The plain one walks formal sums inside the set of
-roots and their negations and accepts either sign of the target. The
-graded one tracks parities, restricts letters after the first to roots
-whose spaces avoid the distinguished ideal, keeps every partial sum inside
-the chosen side of the root partition, and accepts the target exactly.
+One breadth-first search serves two relations. The plain relation walks
+formal sums inside the set of roots and their negations and accepts either
+sign of the target. The graded relation walks slots (root, parity) with
+letters from the slots avoiding the distinguished ideal, keeps every
+partial sum on the chosen side of the root partition, and accepts the
+target exactly.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,42 +32,47 @@ class ConnectionWitness:
     sign: int  # +1 when the chain sums to the target, -1 for its negation
 
 
+def _search(start, letters, step, allowed) -> dict:
+    """Breadth-first search from start: every state reached, mapped to its
+    (previous state, letter), in the order the states were first reached.
+    The start maps to None. Letters are tried in the given order, so each
+    parent is the one a search that stops early would have recorded."""
+    parents: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for letter in letters:
+            nxt = step(state, letter)
+            if nxt not in parents and allowed(nxt):
+                parents[nxt] = (state, letter)
+                queue.append(nxt)
+    return parents
+
+
+def _chain(parents: dict, state) -> tuple:
+    """The start, then the letters that lead from it to state."""
+    chain = []
+    while parents[state] is not None:
+        state, letter = parents[state]
+        chain.append(letter)
+    chain.append(state)
+    return tuple(reversed(chain))
+
+
+def _plain_search(dec: SplitDecomposition, a: Root) -> dict:
+    pm = dec.pm_roots()
+    return _search(a, sorted(pm), operator.add, pm.__contains__)
+
+
 def connected(dec: SplitDecomposition, a: Root, b: Root):
     """Shortest chain from a to b or -b through formal root sums, or None."""
     if not dec.is_root(a) or not dec.is_root(b):
         raise ValueError("both endpoints must be roots")
-    pm = dec.pm_roots()
-    targets = {b, -b}
-
-    def finish(chain: tuple) -> ConnectionWitness:
-        total = chain[0]
-        for step in chain[1:]:
-            total = total + step
-        sign = 1 if total == b else -1
-        return ConnectionWitness(chain, sign)
-
-    if a in targets:
-        return finish((a,))
-    letters = sorted(pm)
-    parents: dict = {a: None}
-    queue = deque([a])
-    while queue:
-        state = queue.popleft()
-        for letter in letters:
-            nxt = state + letter
-            if nxt not in pm or nxt in parents:
-                continue
-            parents[nxt] = (state, letter)
-            if nxt in targets:
-                chain = [letter]
-                back = state
-                while parents[back] is not None:
-                    back, prev_letter = parents[back]
-                    chain.append(prev_letter)
-                chain.append(a)
-                chain.reverse()
-                return finish(tuple(chain))
-            queue.append(nxt)
+    parents = _plain_search(dec, a)
+    # Whichever sign was reached first; a itself when a = +-b.
+    for state in parents:
+        if state == b or state == -b:
+            return ConnectionWitness(_chain(parents, state), 1 if state == b else -1)
     return None
 
 
@@ -92,45 +99,30 @@ def validate_connection(dec: SplitDecomposition, w: ConnectionWitness, a: Root, 
 
 def reachable(dec: SplitDecomposition, a: Root) -> set:
     """All formal sums reachable from a by chains with valid partial sums."""
-    pm = dec.pm_roots()
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        state = queue.popleft()
-        for letter in pm:
-            nxt = state + letter
-            if nxt in pm and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    return set(_plain_search(dec, a))
 
 
 def connection_classes(dec: SplitDecomposition) -> list[list[Root]]:
-    """Partition of the roots under chain connectivity."""
+    """Partition of the roots under chain connectivity.
+
+    Call a and b connected when b or -b is reachable from a. A chain stays
+    a chain when all its letters are negated, and read backwards from its
+    end by negating its letters, because its letters and partial sums stay
+    in the symmetric set of roots and their negations. So the relation is
+    symmetric and transitive, and the class of a root is exactly what one
+    search from it reaches, up to sign: one search per class suffices.
+    """
     roots = dec.sorted_roots()
-    index = {r: i for i, r in enumerate(roots)}
-    parent = list(range(len(roots)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    classes = []
+    placed = set()
     for a in roots:
-        reach = reachable(dec, a)
-        for b in roots:
-            if b in reach or -b in reach:
-                union(index[a], index[b])
-    groups: dict[int, list[Root]] = {}
-    for r in roots:
-        groups.setdefault(find(index[r]), []).append(r)
-    return [sorted(groups[k]) for k in sorted(groups)]
+        if a in placed:
+            continue
+        reached = _plain_search(dec, a)
+        cls = [r for r in roots if r in reached or -r in reached]
+        placed.update(cls)
+        classes.append(cls)
+    return classes
 
 
 @dataclass(frozen=True)
@@ -254,6 +246,25 @@ class GradedConnectionWitness:
     trivial: bool
 
 
+def _add_slot(slot: tuple, letter: tuple) -> tuple:
+    return slot[0] + letter[0], (slot[1] + letter[1]) % 2
+
+
+def _graded_search(part: RootPartition, a: tuple, upsilon: str) -> dict:
+    return _search(
+        a, part.upsilon_slots("notI"), _add_slot, lambda s: part.in_upsilon(upsilon, *s)
+    )
+
+
+def _graded_witness(parents: dict, a: tuple, b: tuple, upsilon: str):
+    """The witness for b among the slots reached from a, or None."""
+    if b[0] in (a[0], -a[0]):
+        return GradedConnectionWitness((a,), upsilon, True)
+    if b in parents:
+        return GradedConnectionWitness(_chain(parents, b), upsilon, False)
+    return None
+
+
 def neg_i_connected(
     dec: SplitDecomposition,
     part: RootPartition,
@@ -267,40 +278,10 @@ def neg_i_connected(
     stay on the chosen side with the accumulated parity; the target must be
     reached exactly, not up to sign.
     """
-    a_root, a_parity = a
-    b_root, b_parity = b
-    a_parity %= 2
-    b_parity %= 2
-    if not part.in_upsilon(upsilon, a_root, a_parity) or not part.in_upsilon(
-        upsilon, b_root, b_parity
-    ):
+    a, b = (a[0], a[1] % 2), (b[0], b[1] % 2)
+    if not part.in_upsilon(upsilon, *a) or not part.in_upsilon(upsilon, *b):
         raise ValueError("endpoints must be occupied slots on the requested side")
-    if b_root in (a_root, -a_root):
-        return GradedConnectionWitness(((a_root, a_parity),), upsilon, True)
-    letters = part.upsilon_slots("notI")
-    start = (a_root, a_parity)
-    goal = (b_root, b_parity)
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        s_root, s_parity = state
-        for l_root, l_parity in letters:
-            nxt = (s_root + l_root, (s_parity + l_parity) % 2)
-            if nxt in parents or not part.in_upsilon(upsilon, nxt[0], nxt[1]):
-                continue
-            parents[nxt] = (state, (l_root, l_parity))
-            if nxt == goal:
-                chain = [(l_root, l_parity)]
-                back = state
-                while parents[back] is not None:
-                    back, prev = parents[back]
-                    chain.append(prev)
-                chain.append(start)
-                chain.reverse()
-                return GradedConnectionWitness(tuple(chain), upsilon, False)
-            queue.append(nxt)
-    return None
+    return _graded_witness(_graded_search(part, a, upsilon), a, b, upsilon)
 
 
 def validate_graded_connection(
@@ -334,8 +315,9 @@ def connectivity_summary(dec: SplitDecomposition, part: RootPartition) -> dict:
         witnesses = {}
         failing = None
         for a in slots:
+            parents = _graded_search(part, a, upsilon)
             for b in slots:
-                w = neg_i_connected(dec, part, a, b, upsilon)
+                w = _graded_witness(parents, a, b, upsilon)
                 if w is None:
                     if failing is None:
                         failing = (a, b)

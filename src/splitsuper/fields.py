@@ -125,12 +125,13 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        # The bound comes first: trial division of a huge modulus would hang.
+        if isinstance(self.p, int) and self.p > EXHAUSTIVE_SCAN_BOUND:
+            raise FieldError(
+                f"modulus {self.p} exceeds the exhaustive scan bound {EXHAUSTIVE_SCAN_BOUND}"
+            )
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise FieldError(f"{self.p!r} is not a prime")
-        if self.p > EXHAUSTIVE_SCAN_BOUND:
-            raise FieldError(
-                f"prime {self.p} exceeds the exhaustive scan bound {EXHAUSTIVE_SCAN_BOUND}"
-            )
 
     @property
     def characteristic(self) -> int:
@@ -212,7 +213,8 @@ def parse_field_spec(text: str) -> Field:
         return Rationals()
     if text.startswith("Fp:"):
         try:
-            return PrimeField(int(text[3:]))
+            p = int(text[3:])
         except ValueError as exc:
             raise FieldError(f"bad field spec {text!r}") from exc
+        return PrimeField(p)
     raise FieldError(f"bad field spec {text!r} (expected Q or Fp:p)")

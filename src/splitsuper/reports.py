@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .connections import ClassDecomposition, ConnectionWitness, GradedConnectionWitness
 from .fields import Field
-from .linalg import Subspace
 from .splitting import (
     NotAbelianError,
     NotGradedError,
@@ -30,10 +29,6 @@ SCHEMA_VERSION = 1
 
 def vector_json(field: Field, v) -> list:
     return [field.format(x) for x in v]
-
-
-def subspace_json(field: Field, s: Subspace) -> dict:
-    return {"dim": s.dim, "basis": [vector_json(field, v) for v in s.basis]}
 
 
 def graded_json(field: Field, g: GradedSubspace) -> dict:

@@ -9,6 +9,7 @@ what the cross-validation tests assert.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -286,6 +287,107 @@ def naive_reachable(roots: list, start, letters: list) -> set:
                     seen.add(cand)
                     frontier.append(cand)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Reference connection searches: one early-exit search per queried pair and
+# a union-find over per-root reachability, kept to check the library's
+# single breadth-first search against.
+
+
+def reference_connected(dec: ss.SplitDecomposition, a: ss.Root, b: ss.Root):
+    """Shortest chain from a to b or -b, stopping at the first hit, or None."""
+    pm = dec.pm_roots()
+    targets = {b, -b}
+
+    def finish(chain: tuple) -> ss.ConnectionWitness:
+        total = chain[0]
+        for step in chain[1:]:
+            total = total + step
+        return ss.ConnectionWitness(chain, 1 if total == b else -1)
+
+    if a in targets:
+        return finish((a,))
+    letters = sorted(pm)
+    parents: dict = {a: None}
+    queue = deque([a])
+    while queue:
+        state = queue.popleft()
+        for letter in letters:
+            nxt = state + letter
+            if nxt not in pm or nxt in parents:
+                continue
+            parents[nxt] = (state, letter)
+            if nxt in targets:
+                chain = [letter]
+                back = state
+                while parents[back] is not None:
+                    back, prev_letter = parents[back]
+                    chain.append(prev_letter)
+                chain.append(a)
+                chain.reverse()
+                return finish(tuple(chain))
+            queue.append(nxt)
+    return None
+
+
+def reference_neg_i_connected(part: ss.RootPartition, a: tuple, b: tuple, upsilon: str):
+    """Graded chain from slot a to slot b, stopping at the first hit, or None."""
+    a, b = (a[0], a[1] % 2), (b[0], b[1] % 2)
+    if b[0] in (a[0], -a[0]):
+        return ss.GradedConnectionWitness((a,), upsilon, True)
+    letters = part.upsilon_slots("notI")
+    parents: dict = {a: None}
+    queue = deque([a])
+    while queue:
+        state = queue.popleft()
+        for l_root, l_parity in letters:
+            nxt = (state[0] + l_root, (state[1] + l_parity) % 2)
+            if nxt in parents or not part.in_upsilon(upsilon, nxt[0], nxt[1]):
+                continue
+            parents[nxt] = (state, (l_root, l_parity))
+            if nxt == b:
+                chain = [(l_root, l_parity)]
+                back = state
+                while parents[back] is not None:
+                    back, prev = parents[back]
+                    chain.append(prev)
+                chain.append(a)
+                chain.reverse()
+                return ss.GradedConnectionWitness(tuple(chain), upsilon, False)
+            queue.append(nxt)
+    return None
+
+
+def reference_connection_classes(dec: ss.SplitDecomposition) -> list[list[ss.Root]]:
+    """Union-find over "b or -b is reachable from a", one search per root."""
+    roots = dec.sorted_roots()
+    pm = dec.pm_roots()
+    parent = list(range(len(roots)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(roots):
+        seen = {a}
+        queue = deque([a])
+        while queue:
+            state = queue.popleft()
+            for letter in pm:
+                nxt = state + letter
+                if nxt in pm and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        for j, b in enumerate(roots):
+            if b in seen or -b in seen:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list] = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+    return [sorted(groups[k]) for k in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,25 @@ class TestCheck:
         path = write_doc(tmp_path, FIVE_DIM_DOC)
         assert main(["check", path, "--field", "Fp:4"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["flag", "document"])
+    def test_huge_modulus_exits_two_before_any_primality_test(self, tmp_path, form):
+        # 2**61 - 1 is prime; trial division up to its square root would hang.
+        modulus = 2**61 - 1
+        doc = json.loads(ss.canonical_json(FIVE_DIM_DOC))
+        extra = ["--field", f"Fp:{modulus}"]
+        if form == "document":
+            doc["field"] = {"Fp": modulus}
+            extra = []
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "splitsuper.cli", "check", str(path)] + extra,
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 2
+        assert "exceeds the exhaustive scan bound" in done.stderr
 
 
 class TestSplit:
@@ -365,6 +387,25 @@ class TestGen:
     def test_example2_rejects_nonpositive_n(self, capsys):
         assert main(["gen", "example2", "--n", "0"]) == 2
         capsys.readouterr()
+
+
+class TestReportOnlyOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "example1", "--field", "Fp:7"],
+            ["gen", "example1", "--json"],
+            ["fuzz", "--seed", "1", "--count", "1", "-o", "corpus", "--field", "Fp:7"],
+            ["fuzz", "--seed", "1", "--count", "1", "-o", "corpus", "--json"],
+        ],
+    )
+    def test_gen_and_fuzz_refuse_report_flags(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a == "corpus" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestFuzz:

@@ -6,7 +6,20 @@ import pytest
 
 import splitsuper as ss
 
-from helpers import FIVE_DIM_DOC, analyze_doc, case2i_doc, naive_reachable, osp12_doc, two_block_doc
+from helpers import (
+    FIVE_DIM_DOC,
+    analyze_doc,
+    case2i_doc,
+    corpus,
+    naive_reachable,
+    osp12_doc,
+    reference_connected,
+    reference_connection_classes,
+    reference_neg_i_connected,
+    sl2_doc,
+    two_block_doc,
+    weight_pair_doc,
+)
 
 
 def root_of(a, value: int) -> ss.Root:
@@ -197,3 +210,74 @@ class TestGradedConnection:
         assert not a.conn["notI"]["connected"]
         (a_slot, b_slot) = a.conn["notI"]["failing_pair"]
         assert ss.neg_i_connected(a.dec, a.part, a_slot, b_slot, "notI") is None
+
+
+# Inputs for the differential tests, by group: the fixtures, 30 seed-1
+# corpus members over Q, and the same members read over F_2, F_3 and F_7.
+FIXTURE_DOCS = [FIVE_DIM_DOC, osp12_doc(), case2i_doc(), sl2_doc(), weight_pair_doc(),
+                two_block_doc()] + [ss.gen_example2(n) for n in (1, 2, 3, 5, 7)]
+
+
+def _split_or_none(doc: dict, field=None):
+    """(dec, part) of a document read over field, or None where it does not
+    parse, validate or split there."""
+    try:
+        alg, cartan, _ = ss.parse_document(doc, field_override=field)
+    except (ss.DocumentError, ss.FieldError):
+        return None
+    if alg.validate() or not cartan:
+        return None
+    try:
+        dec = ss.split(alg, cartan)
+    except ss.SplitError:
+        return None
+    return dec, ss.partition_roots(dec, ss.leibniz_kernel(alg))
+
+
+@pytest.fixture(scope="module", params=["fixtures", "Q", "Fp:2", "Fp:3", "Fp:7"])
+def splits(request) -> list:
+    if request.param == "fixtures":
+        docs, field = FIXTURE_DOCS, None
+    else:
+        docs = [doc for doc, _ in corpus()[:30]]
+        field = None if request.param == "Q" else ss.parse_field_spec(request.param)
+    cases = [_split_or_none(doc, field) for doc in docs]
+    cases = [c for c in cases if c is not None]
+    assert cases, f"no member of {request.param} splits"
+    return cases
+
+
+class TestSearchDifferential:
+    """The single breadth-first search against early-exit per-pair searches
+    and a union-find: same witnesses, same classes, same failing pair."""
+
+    def test_plain_witnesses(self, splits) -> None:
+        for dec, _ in splits:
+            roots = dec.sorted_roots()
+            for a in roots:
+                for b in roots:
+                    assert ss.connected(dec, a, b) == reference_connected(dec, a, b)
+
+    def test_classes(self, splits) -> None:
+        for dec, _ in splits:
+            assert ss.connection_classes(dec) == reference_connection_classes(dec)
+
+    def test_graded_witnesses(self, splits) -> None:
+        for dec, part in splits:
+            summary = ss.connectivity_summary(dec, part)
+            for upsilon in ("I", "notI"):
+                slots = part.upsilon_slots(upsilon)
+                table = {}
+                failing = None
+                for a in slots:
+                    for b in slots:
+                        ref = reference_neg_i_connected(part, a, b, upsilon)
+                        assert ss.neg_i_connected(dec, part, a, b, upsilon) == ref
+                        if ref is not None:
+                            table[(a, b)] = ref
+                        elif failing is None:
+                            failing = (a, b)
+                info = summary[upsilon]
+                assert list(info["witnesses"].items()) == list(table.items())
+                assert info["failing_pair"] == failing
+                assert info["connected"] == (failing is None)

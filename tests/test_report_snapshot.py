@@ -5,16 +5,17 @@ compares the sha256 of its stdout, and its exit code, with the values
 recorded in ``report_digests.json``.  A refactor that promises identical
 reports must leave every digest as it is.
 
-Run as a script to print the digests of ``analyze --json`` and
-``decompose --json``, one line per report: over the 100 members of the
-seed-1 fuzz corpus, over ``gen_example2(n)`` for n = 9, 11, 13 and 15, and
-over example1, ``gen_example2(1)`` and ``gen_example2(3)`` read with
-``--field Fp:65521``; then over ``gen_example2(17)``, and over example1,
-``gen_example2(1)`` and ``gen_example2(3)`` read with ``--field Fp:p`` for
-p = 2, 3, 7 and 13 (primes at most the dimension included).
-``corpus_digests.txt`` holds the recorded output; an empty diff means
-every one of those reports is unchanged (about 15 s on a 2-CPU host with
-CPython 3.11):
+Run as a script to print the digests of ``analyze --json``,
+``decompose --json``, ``connect --json`` and ``connect --neg-i --json``,
+one line per report: over the 100 members of the seed-1 fuzz corpus, over
+``gen_example2(n)`` for n = 9, 11, 13 and 15, and over example1,
+``gen_example2(1)`` and ``gen_example2(3)`` read with ``--field Fp:65521``;
+then over ``gen_example2(17)``, and over example1, ``gen_example2(1)`` and
+``gen_example2(3)`` read with ``--field Fp:p`` for p = 2, 3, 7 and 13
+(primes at most the dimension included).  ``corpus_digests.txt`` holds the
+recorded output; an empty diff means every one of those reports is
+unchanged (about 17 s on a 2-CPU host with CPython 3.11, of which
+the ``connect`` lines take about 7 s):
 
     PYTHONPATH=src python tests/test_report_snapshot.py | diff tests/corpus_digests.txt -
 """
@@ -188,6 +189,15 @@ def test_reordered_found_ideals_change_the_digest(doc_paths, recorded):
     assert digest(swapped) != recorded[case_id]["sha256"]
 
 
+# Label in corpus_digests.txt -> argv around the document path.
+CORPUS_COMMANDS = (
+    ("analyze", ["analyze", "--json"]),
+    ("decompose", ["decompose", "--json"]),
+    ("connect", ["connect", "--json"]),
+    ("connect-neg-i", ["connect", "--neg-i", "--json"]),
+)
+
+
 def corpus_digests(seed: int = 1, count: int = 100):
     """Yield (member, command, exit code, sha256) over the fuzz corpus,
     the larger module-family members and the prime-field reinterpretations."""
@@ -214,9 +224,9 @@ def corpus_digests(seed: int = 1, count: int = 100):
         for name, doc, extra in runs:
             path = Path(tmp) / f"{name}.json"
             path.write_text(ss.canonical_json(doc), encoding="utf-8")
-            for command in ("analyze", "decompose"):
-                code, out = run_cli([command, str(path), "--json"] + extra)
-                yield name, command, code, digest(out)
+            for label, argv in CORPUS_COMMANDS:
+                code, out = run_cli(argv[:1] + [str(path)] + argv[1:] + extra)
+                yield name, label, code, digest(out)
 
 
 if __name__ == "__main__":
