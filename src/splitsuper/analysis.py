@@ -1,32 +1,77 @@
 """Simplicity analysis for maximal-length decompositions.
 
-Two independent verdict paths: a criterion built from connectivity of the
-root partition under structural hypotheses, and a brute-force enumeration
-of slot-aligned graded ideals that is provably exhaustive when the
+`Analysis(dec)` holds the stages in the paper's order as lazy attributes:
+the roots split by the Leibniz kernel I, the connections on each side, the
+structural hypotheses, and two independent verdicts. The theorem-mode
+verdict is the connectivity criterion under those hypotheses; the oracle
+enumerates slot-aligned graded ideals and is provably exhaustive when the
 splitting subalgebra is at most one-dimensional. The enumeration doubles
-as a cross-check on the criterion and feeds the small-system
-classification templates.
+as a cross-check on the criterion (the lemma checks) and feeds the
+small-system classification templates. Each stage runs on first access and
+at most once (one that raises is not kept), and each stage function takes
+the record and reads the earlier stages from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import GradedSubspace, Superalgebra, generated_ideal
 from .connections import (
     VerificationError,
+    connectivity_summary,
     is_graded_ideal,
     is_subalgebra,
 )
 from .linalg import Matrix, Subspace, kernel_basis
-from .splitting import RootPartition, SplitDecomposition
+from .splitting import RootPartition, SplitDecomposition, partition_roots
 
 DEFAULT_ORACLE_BOUND = 2**20
 
 
-def _trivial_ideals(alg: Superalgebra, part: RootPartition) -> set:
-    """The ideals every algebra has here: 0, the kernel I and L."""
-    return {alg.zero_graded(), part.frak_i, alg.full_graded()}
+class Analysis:
+    """One analysis of dec. Each stage calls its module function through the
+    global name, so a rebinding of that name (as a tracer does) sees it."""
+
+    def __init__(self, dec: SplitDecomposition, bound: int = DEFAULT_ORACLE_BOUND):
+        self.dec = dec
+        self.bound = bound
+
+    @cached_property
+    def part(self) -> RootPartition:
+        return partition_roots(self.dec)
+
+    @cached_property
+    def conn(self) -> dict:
+        return connectivity_summary(self.dec, self.part)
+
+    @cached_property
+    def hyp(self) -> HypothesisReport:
+        return hypothesis_report(self.dec, self.part)
+
+    @cached_property
+    def theorem(self) -> SimplicityVerdict:
+        return theorem_verdict(self)
+
+    @cached_property
+    def oracle(self):
+        """The OracleResult, or None when a slot has dimension above one."""
+        return oracle_verdict(self) if self.part.maximal_length else None
+
+    @cached_property
+    def lemma_violations(self) -> list:
+        return lemma_checks(self) if self.oracle is not None else []
+
+    @cached_property
+    def classification(self) -> ClassificationResult:
+        return classify(self)
+
+    @cached_property
+    def trivial_ideals(self) -> set:
+        """The ideals every algebra has here: 0, the kernel I and L."""
+        alg = self.dec.algebra
+        return {alg.zero_graded(), self.part.frak_i, alg.full_graded()}
 
 
 def _slot_product(alg: Superalgebra, a: Subspace, b: Subspace) -> list:
@@ -167,45 +212,41 @@ class SimplicityVerdict:
     notes: tuple = ()
 
 
-def _unmet_hypotheses(part: RootPartition, hyp: HypothesisReport) -> list:
+def _unmet_hypotheses(a: Analysis) -> list:
     """The structural preconditions shared by theorem mode and classify."""
     checks = (
-        ("maximal_length", part.maximal_length),
-        ("h_equals_h_lambda", hyp.h_equals_h_lambda),
-        ("lie_annihilator_zero", hyp.lie_annihilator_zero),
-        ("root_multiplicative", hyp.root_multiplicative),
+        ("maximal_length", a.part.maximal_length),
+        ("h_equals_h_lambda", a.hyp.h_equals_h_lambda),
+        ("lie_annihilator_zero", a.hyp.lie_annihilator_zero),
+        ("root_multiplicative", a.hyp.root_multiplicative),
     )
     return [name for name, ok in checks if not ok]
 
 
-def theorem_verdict(
-    dec: SplitDecomposition,
-    part: RootPartition,
-    hyp: HypothesisReport,
-    conn: dict,
-) -> SimplicityVerdict:
+def theorem_verdict(a: Analysis) -> SimplicityVerdict:
     """Connectivity criterion under the structural hypotheses."""
-    failed = _unmet_hypotheses(part, hyp)
+    hyp = a.hyp
+    failed = _unmet_hypotheses(a)
     if hyp.card_not_i <= 2:
         failed.append("card_notI")
     if hyp.card_i <= 2:
         failed.append("card_I")
     if failed:
         return SimplicityVerdict("Undetermined", "TheoremMode", tuple(failed))
+    conn = a.conn
     if conn["I"]["connected"] and conn["notI"]["connected"]:
         return SimplicityVerdict(
             "Simple", "TheoremMode", notes=("all slot pairs connected on both sides",)
         )
-    alg = dec.algebra
-    targets = _trivial_ideals(alg, part)
+    alg = a.dec.algebra
     for upsilon in ("notI", "I"):
         info = conn[upsilon]
         if info["connected"]:
             continue
         for root, parity in info["failing_pair"]:
-            seed = alg.graded_span(dec.slot(root, parity).basis)
+            seed = alg.graded_span(a.dec.slot(root, parity).basis)
             ideal = generated_ideal(alg, seed)
-            if ideal not in targets and 0 < ideal.dim < alg.dim:
+            if ideal not in a.trivial_ideals and 0 < ideal.dim < alg.dim:
                 return SimplicityVerdict(
                     "NotSimple",
                     "TheoremMode",
@@ -243,20 +284,18 @@ def _canonical_order(spaces) -> list:
     return sorted(spaces, key=lambda s: (s.dim, s.even.basis, s.odd.basis))
 
 
-def oracle_verdict(
-    dec: SplitDecomposition,
-    part: RootPartition,
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> OracleResult:
+def oracle_verdict(a: Analysis) -> OracleResult:
     """Enumerate slot-aligned graded subspaces and test each for ideality.
 
     A graded ideal decomposes into its meet with the splitting subalgebra
     plus full graded root slots, so candidates are a subalgebra-part from a
     product-line lattice times a subset of occupied slots. The lattice is
-    exhaustive exactly when the subalgebra has dimension at most one.
+    exhaustive exactly when the subalgebra has dimension at most one. More
+    than a.bound candidates raise OracleBoundExceeded.
     """
-    if not part.maximal_length:
+    if not a.part.maximal_length:
         raise ValueError("ideal enumeration requires one-dimensional slots")
+    dec = a.dec
     alg = dec.algebra
     slots = dec.occupied_slots()
     n_slots = len(slots)
@@ -313,8 +352,8 @@ def oracle_verdict(
     complete = dec.cartan.dim <= 1
 
     candidates = len(lattice) * (2**n_slots)
-    if candidates > bound:
-        raise OracleBoundExceeded(candidates, bound)
+    if candidates > a.bound:
+        raise OracleBoundExceeded(candidates, a.bound)
 
     def forced_slots(h, t: int, what: str) -> set:
         """Slots hit by h acting on slot t from either side; the action of
@@ -375,8 +414,7 @@ def oracle_verdict(
         if not is_graded_ideal(alg, space):
             raise VerificationError("enumerated candidate failed independent recheck", space)
 
-    targets = _trivial_ideals(alg, part)
-    extras = [s for s in found_sorted if s not in targets]
+    extras = [s for s in found_sorted if s not in a.trivial_ideals]
 
     def result(verdict: str, **extra) -> OracleResult:
         return OracleResult(
@@ -388,7 +426,7 @@ def oracle_verdict(
     if extras:
         return result("NotSimple", certificate_ideal=extras[0], certificate_kind="ideal")
     if complete:
-        if set(found_sorted) != targets:
+        if set(found_sorted) != a.trivial_ideals:
             raise VerificationError("exhaustive enumeration missed a required ideal", found_sorted)
         return result("Simple")
     return result("Undetermined", notes=("subalgebra lattice not exhaustive",))
@@ -404,17 +442,12 @@ def ideal_root_aligned(dec: SplitDecomposition, space: GradedSubspace) -> bool:
     return space.meet(dec.cartan).plus(inside) == space
 
 
-def lemma_checks(
-    dec: SplitDecomposition,
-    part: RootPartition,
-    hyp: HypothesisReport,
-    conn: dict,
-    oracle: OracleResult,
-) -> list:
+def lemma_checks(a: Analysis) -> list:
     """Structural facts every enumerated ideal must satisfy; returns violations."""
+    dec, hyp, conn = a.dec, a.hyp, a.conn
     alg = dec.algebra
     violations = []
-    frak_i = part.frak_i
+    frak_i = a.part.frak_i
     h_plus_i = dec.cartan.plus(frak_i)
     full = alg.full_graded()
 
@@ -431,7 +464,7 @@ def lemma_checks(
         and conn["I"]["connected"]
         and hyp.card_i > 2
     )
-    for space in oracle.found_ideals:
+    for space in a.oracle.found_ideals:
         if not ideal_root_aligned(dec, space):
             violations.append(("not_root_aligned", space))
         inside_h_plus_i = h_plus_i.contains(space)
@@ -468,20 +501,14 @@ def _slots_inside(dec: SplitDecomposition, space: GradedSubspace) -> set:
 
 
 def _span_slots(dec: SplitDecomposition, keys) -> GradedSubspace:
-    alg = dec.algebra
-    vectors = []
-    for root, parity in keys:
-        vectors.extend(dec.slot(root, parity).basis)
-    return alg.graded_span(vectors)
+    return dec.algebra.graded_span([v for key in keys for v in dec.slot(*key).basis])
 
 
 def _direct_sum_is(alg, parts, whole: GradedSubspace) -> bool:
     total = alg.zero_graded()
-    dim_sum = 0
     for p in parts:
         total = total.plus(p)
-        dim_sum += p.dim
-    return dim_sum == whole.dim and total == whole
+    return sum(p.dim for p in parts) == whole.dim and total == whole
 
 
 def _match_case2(dec, part, ideal):
@@ -571,24 +598,15 @@ def _match_case3(dec, part, ideal):
     return None
 
 
-def _case4_parameters(dec, part):
-    roots = part.nonkernel_roots()
-    if len(roots) != 2:
-        return None
-    a, b = sorted(roots)
-    if b != -a:
-        return None
-    return b  # the positive representative
-
-
 def _match_case4(dec, part, ideal):
     alg = dec.algebra
     f = alg.field
     if f.characteristic == 2:
         return None
-    alpha = _case4_parameters(dec, part)
-    if alpha is None:
+    roots = sorted(part.nonkernel_roots())
+    if len(roots) != 2 or roots[1] != -roots[0]:
         return None
+    alpha = roots[1]  # the positive representative
     islots = _slots_inside(dec, ideal)
     kernel_slots = set(part.upsilon_slots("I"))
     kernel_in = islots & kernel_slots
@@ -691,24 +709,19 @@ def _match_case4(dec, part, ideal):
     return None
 
 
-def classify(
-    dec: SplitDecomposition,
-    part: RootPartition,
-    hyp: HypothesisReport,
-    conn: dict,
-    oracle: OracleResult,
-) -> ClassificationResult:
+def classify(a: Analysis) -> ClassificationResult:
     """Match the small-root-system templates against the enumerated ideals."""
-    failed = _unmet_hypotheses(part, hyp)
-    if not conn["I"]["connected"]:
+    failed = _unmet_hypotheses(a)
+    if not a.conn["I"]["connected"]:
         failed.append("kernel_connectivity")
-    if not conn["notI"]["connected"]:
+    if not a.conn["notI"]["connected"]:
         failed.append("nonkernel_connectivity")
-    if hyp.card_not_i > 2 and hyp.card_i > 2:
+    if a.hyp.card_not_i > 2 and a.hyp.card_i > 2:
         failed.append("small_cardinality")
     if failed:
         raise ClassifyPreconditionError(failed)
-    alg = dec.algebra
+    alg = a.dec.algebra
+    oracle = a.oracle
     if oracle.verdict == "Simple":
         return ClassificationResult("Case1_Simple", characteristic=alg.field.characteristic)
     if oracle.verdict == "Undetermined":
@@ -717,11 +730,10 @@ def classify(
             characteristic=alg.field.characteristic,
             diagnostics=("enumeration inconclusive",),
         )
-    targets = _trivial_ideals(alg, part)
-    extras = [s for s in oracle.found_ideals if s not in targets]
+    extras = [s for s in oracle.found_ideals if s not in a.trivial_ideals]
     for extra in extras:
         for matcher in (_match_case2, _match_case3, _match_case4):
-            result = matcher(dec, part, extra)
+            result = matcher(a.dec, a.part, extra)
             if result is not None:
                 return result
     return ClassificationResult(

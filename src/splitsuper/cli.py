@@ -16,19 +16,14 @@ from pathlib import Path
 
 from .analysis import (
     DEFAULT_ORACLE_BOUND,
+    Analysis,
     ClassifyPreconditionError,
     OracleBoundExceeded,
-    classify,
-    hypothesis_report,
-    lemma_checks,
-    oracle_verdict,
-    theorem_verdict,
 )
 from .connections import (
     VerificationError,
+    class_witnesses,
     connected,
-    connection_classes,
-    connectivity_summary,
     decompose,
     neg_i_connected,
 )
@@ -56,7 +51,7 @@ from .reports import (
     verdict_json,
     witness_json,
 )
-from .splitting import Root, SplitError, partition_roots, split, verify_split_facts
+from .splitting import Root, SplitError, split, verify_split_facts
 
 
 class UsageError(Exception):
@@ -64,10 +59,7 @@ class UsageError(Exception):
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(machine_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    sys.stdout.write(machine_json(report) if as_json else render_text(report))
 
 
 def _load(path: str, field_spec: str):
@@ -171,13 +163,13 @@ def _connect_stages(args, dec, report: dict) -> int:
     if bool(args.from_root) != bool(args.to_root):
         raise UsageError("--from and --to must be given together")
     if args.neg_i:
-        part = partition_roots(dec, dec.algebra.leibniz_kernel)
-        report["partition"] = partition_json(f, part)
+        record = Analysis(dec)
+        report["partition"] = partition_json(f, record.part)
     if args.from_root and args.neg_i:
         a = _parse_slot(f, args.from_root, width)
         b = _parse_slot(f, args.to_root, width)
         try:
-            w = neg_i_connected(dec, part, a, b, args.upsilon)
+            w = neg_i_connected(dec, record.part, a, b, args.upsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         report["query"] = {
@@ -203,7 +195,7 @@ def _connect_stages(args, dec, report: dict) -> int:
             report["witness"] = witness_json(f, w)
     elif args.neg_i:
         rendered = {}
-        for side, info in connectivity_summary(dec, part).items():
+        for side, info in record.conn.items():
             chains = {}
             for (a, b), w in sorted(info["witnesses"].items()):
                 key = "{}:{} -> {}:{}".format(
@@ -219,9 +211,7 @@ def _connect_stages(args, dec, report: dict) -> int:
             }
         report["connectivity"] = rendered
     else:
-        report["classes"] = classes_json(
-            f, connection_classes(dec), witness_lookup=lambda x, y: connected(dec, x, y)
-        )
+        report["classes"] = classes_json(f, class_witnesses(dec))
     return 0
 
 
@@ -236,40 +226,36 @@ def _decompose_stages(args, dec, report: dict) -> int:
 
 
 def _analyze_stages(args, dec, report: dict) -> int:
+    """Render the stages of one Analysis, read in the paper's order."""
     f = dec.algebra.field
+    a = Analysis(dec, args.oracle_bound)
     report["split"] = split_json(dec)
-    part = partition_roots(dec, dec.algebra.leibniz_kernel)
-    report["partition"] = partition_json(f, part)
-    conn = connectivity_summary(dec, part)
+    report["partition"] = partition_json(f, a.part)
     report["connectivity"] = {
-        side: {"connected": info["connected"]} for side, info in conn.items()
+        side: {"connected": info["connected"]} for side, info in a.conn.items()
     }
-    hyp = hypothesis_report(dec, part)
-    report["hypotheses"] = hypotheses_json(f, hyp)
+    report["hypotheses"] = hypotheses_json(f, a.hyp)
     try:
-        theorem = theorem_verdict(dec, part, hyp, conn)
+        report["theorem_mode"] = verdict_json(f, a.theorem)
     except VerificationError as exc:
         report["error"] = {"type": "VerificationError", "message": str(exc)}
         return 1
-    report["theorem_mode"] = verdict_json(f, theorem)
 
-    verdicts = {theorem.verdict}
-    if part.maximal_length:
-        oracle = oracle_verdict(dec, part, args.oracle_bound)
-        verdicts.add(oracle.verdict)
-        report["oracle"] = oracle_json(f, oracle)
-        checks = lemma_checks(dec, part, hyp, conn, oracle)
+    verdicts = {a.theorem.verdict}
+    if a.oracle is not None:
+        verdicts.add(a.oracle.verdict)
+        report["oracle"] = oracle_json(f, a.oracle)
         report["lemma_checks"] = {
-            "ok": not checks,
+            "ok": not a.lemma_violations,
             "violations": [
-                {"kind": kind, "ideal": graded_json(f, space)} for kind, space in checks
+                {"kind": kind, "ideal": graded_json(f, space)}
+                for kind, space in a.lemma_violations
             ],
         }
-        if checks:
+        if a.lemma_violations:
             return 1
         try:
-            outcome = classify(dec, part, hyp, conn, oracle)
-            report["classification"] = classification_json(f, outcome)
+            report["classification"] = classification_json(f, a.classification)
         except ClassifyPreconditionError as exc:
             report["classification"] = {
                 "skipped": True,

@@ -68,8 +68,12 @@ def connected(dec: SplitDecomposition, a: Root, b: Root):
     """Shortest chain from a to b or -b through formal root sums, or None."""
     if not dec.is_root(a) or not dec.is_root(b):
         raise ValueError("both endpoints must be roots")
-    parents = _plain_search(dec, a)
-    # Whichever sign was reached first; a itself when a = +-b.
+    return _plain_witness(_plain_search(dec, a), b)
+
+
+def _plain_witness(parents: dict, b: Root):
+    """The witness for b or -b among the sums reached, whichever sign was
+    reached first (the start itself when it is +-b), or None."""
     for state in parents:
         if state == b or state == -b:
             return ConnectionWitness(_chain(parents, state), 1 if state == b else -1)
@@ -102,8 +106,8 @@ def reachable(dec: SplitDecomposition, a: Root) -> set:
     return set(_plain_search(dec, a))
 
 
-def connection_classes(dec: SplitDecomposition) -> list[list[Root]]:
-    """Partition of the roots under chain connectivity.
+def _class_searches(dec: SplitDecomposition) -> list:
+    """Each class of roots, in sorted order, with the search from its least root.
 
     Call a and b connected when b or -b is reachable from a. A chain stays
     a chain when all its letters are negated, and read backwards from its
@@ -113,7 +117,7 @@ def connection_classes(dec: SplitDecomposition) -> list[list[Root]]:
     search from it reaches, up to sign: one search per class suffices.
     """
     roots = dec.sorted_roots()
-    classes = []
+    out = []
     placed = set()
     for a in roots:
         if a in placed:
@@ -121,8 +125,21 @@ def connection_classes(dec: SplitDecomposition) -> list[list[Root]]:
         reached = _plain_search(dec, a)
         cls = [r for r in roots if r in reached or -r in reached]
         placed.update(cls)
-        classes.append(cls)
-    return classes
+        out.append((cls, reached))
+    return out
+
+
+def connection_classes(dec: SplitDecomposition) -> list[list[Root]]:
+    """Partition of the roots under chain connectivity."""
+    return [cls for cls, _ in _class_searches(dec)]
+
+
+def class_witnesses(dec: SplitDecomposition) -> list[dict]:
+    """Per class, each of its roots mapped to the witness from the class's
+    least root, as `connected` gives it, from the one search per class."""
+    return [
+        {b: _plain_witness(reached, b) for b in cls} for cls, reached in _class_searches(dec)
+    ]
 
 
 @dataclass(frozen=True)

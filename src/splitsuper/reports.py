@@ -121,10 +121,7 @@ def partition_json(field: Field, part: RootPartition) -> dict:
             "even": bucket(part.lambda_not_i[0]),
             "odd": bucket(part.lambda_not_i[1]),
         },
-        "unclassifiable_slots": [
-            {"root": root_json(field, r), "parity": p}
-            for r, p in sorted(part.unclassifiable)
-        ],
+        "unclassifiable_slots": [slot_json(field, s) for s in sorted(part.unclassifiable)],
         "maximal_length": part.maximal_length,
     }
 
@@ -138,26 +135,24 @@ def witness_json(field: Field, w: ConnectionWitness) -> dict:
 
 def graded_witness_json(field: Field, w: GradedConnectionWitness) -> dict:
     return {
-        "chain": [
-            {"root": root_json(field, r), "parity": p} for r, p in w.chain
-        ],
+        "chain": [slot_json(field, s) for s in w.chain],
         "upsilon": w.upsilon,
         "trivial": w.trivial,
     }
 
 
-def classes_json(field: Field, classes, witness_lookup) -> list:
-    out = []
-    for cls in classes:
-        rep = min(cls)
-        chains = {}
-        for other in sorted(cls):
-            w = witness_lookup(rep, other)
-            if w is not None:
-                chains[",".join(root_json(field, other))] = witness_json(field, w)
-        roots = [root_json(field, r) for r in sorted(cls)]
-        out.append({"roots": roots, "witnesses_from_representative": chains})
-    return out
+def classes_json(field: Field, class_witnesses) -> list:
+    """Each class as a dict from its sorted roots to their witnesses."""
+    return [
+        {
+            "roots": [root_json(field, r) for r in witnesses],
+            "witnesses_from_representative": {
+                ",".join(root_json(field, r)): witness_json(field, w)
+                for r, w in witnesses.items()
+            },
+        }
+        for witnesses in class_witnesses
+    ]
 
 
 def decomposition_json(field: Field, dec_result: ClassDecomposition) -> dict:

@@ -86,20 +86,16 @@ class SplitDecomposition:
         return space.odd if parity % 2 else space.even
 
     def occupied_slots(self) -> list[tuple[Root, int]]:
-        out = []
-        for root in self.sorted_roots():
-            space = self.roots[root]
-            if not space.even.is_zero():
-                out.append((root, 0))
-            if not space.odd.is_zero():
-                out.append((root, 1))
-        return out
+        return [
+            (root, p)
+            for root in self.sorted_roots()
+            for p in (0, 1)
+            if not self.slot(root, p).is_zero()
+        ]
 
     def pm_roots(self) -> set:
         """The formal set of roots and their negations."""
-        out = set(self.roots)
-        out.update(-r for r in self.roots)
-        return out
+        return set(self.roots) | {-r for r in self.roots}
 
     def is_root(self, root: Root) -> bool:
         return root in self.roots
@@ -108,9 +104,7 @@ class SplitDecomposition:
 def _homogeneous_parity(alg: Superalgebra, v: Vector):
     """Parity of a homogeneous vector, or None if mixed or zero."""
     seen = set(alg.parity[i] for i, x in enumerate(v) if x)
-    if len(seen) != 1:
-        return None
-    return seen.pop()
+    return seen.pop() if len(seen) == 1 else None
 
 
 def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
@@ -127,8 +121,6 @@ def split(alg: Superalgebra, cartan_vectors) -> SplitDecomposition:
         raise SplitError("empty subalgebra input")
     parities = []
     for v in vectors:
-        if not any(v):
-            raise NotGradedError(v)
         p = _homogeneous_parity(alg, v)
         if p is None:
             raise NotGradedError(v)
@@ -230,14 +222,7 @@ def verify_split_facts(dec: SplitDecomposition) -> list[SplitFactViolation]:
     violations = []
     for r1, p1, s1 in slots:
         for r2, p2, s2 in slots:
-            target_root = r1 + r2
-            target_parity = (p1 + p2) % 2
-            if target_root.is_zero():
-                target = dec.slot(zero_root, target_parity)
-            elif dec.is_root(target_root):
-                target = dec.slot(target_root, target_parity)
-            else:
-                target = Subspace.zero(f, alg.dim)
+            target = dec.slot(r1 + r2, p1 + p2)
             for x in s1.basis:
                 for y in s2.basis:
                     prod = alg.product(x, y)
@@ -275,8 +260,9 @@ class RootPartition:
         return out
 
 
-def partition_roots(dec: SplitDecomposition, frak_i: GradedSubspace) -> RootPartition:
-    """Classify each occupied graded slot by its relation to the given ideal."""
+def partition_roots(dec: SplitDecomposition) -> RootPartition:
+    """Classify each occupied graded slot by its relation to the Leibniz kernel."""
+    frak_i = dec.algebra.leibniz_kernel
     lambda_i: dict = {0: set(), 1: set()}
     lambda_not_i: dict = {0: set(), 1: set()}
     unclassifiable = []

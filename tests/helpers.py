@@ -10,7 +10,6 @@ what the cross-validation tests assert.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -516,27 +515,11 @@ def two_block_doc() -> dict:
 # pipeline convenience
 
 
-@dataclass
-class Analysis:
-    alg: ss.Superalgebra
-    cartan: list
-    dec: ss.SplitDecomposition
-    kernel: ss.GradedSubspace
-    part: ss.RootPartition
-    hyp: ss.HypothesisReport
-    conn: dict
-
-
-def analyze_doc(doc: dict) -> Analysis:
+def analyze_doc(doc: dict) -> ss.Analysis:
     alg, cartan, _ = ss.parse_document(doc)
     violations = alg.validate()
     assert violations == [], violations
-    dec = ss.split(alg, cartan)
-    kernel = ss.leibniz_kernel(alg)
-    part = ss.partition_roots(dec, kernel)
-    hyp = ss.hypothesis_report(dec, part)
-    conn = ss.connectivity_summary(dec, part)
-    return Analysis(alg, cartan, dec, kernel, part, hyp, conn)
+    return ss.Analysis(ss.split(alg, cartan))
 
 
 _CORPUS_CACHE: dict[tuple[int, int], list[dict]] = {}

@@ -52,7 +52,7 @@ def test_criterion_1_five_dim_golden_decomposition():
     t0 = time.perf_counter()
     failures: list = []
     a = analyze_doc(ss.gen_example1())
-    f = a.alg.field
+    f = a.dec.algebra.field
 
     values = sorted(r.values[0] for r in a.dec.roots)
     if values != [Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)]:
@@ -71,7 +71,7 @@ def test_criterion_1_five_dim_golden_decomposition():
         if a.dec.slot(root, parity).dim != 1:
             failures.append(f"slot {root.values}:{parity} not a line")
 
-    if a.kernel.even.dim != 0 or a.kernel.odd != unit_line(f, 5, 3).plus(
+    if a.part.frak_i.even.dim != 0 or a.part.frak_i.odd != unit_line(f, 5, 3).plus(
         unit_line(f, 5, 4)
     ):
         failures.append("kernel is not the odd span of the last two vectors")
@@ -94,15 +94,15 @@ def test_criterion_2_module_family_golden():
     failures: list = []
     for n in (1, 3, 5):
         a = analyze_doc(ss.gen_example2(n))
-        if a.alg.dim != n + 4:
-            failures.append(f"n={n} dim {a.alg.dim}")
+        if a.dec.algebra.dim != n + 4:
+            failures.append(f"n={n} dim {a.dec.algebra.dim}")
         expected = {Fraction(2), Fraction(-2)} | {
             Fraction(n - 2 * k) for k in range(n + 1)
         }
         got = {r.values[0] for r in a.dec.roots}
         if got != expected:
             failures.append(f"n={n} roots {sorted(got)}")
-        if a.kernel.even.dim != 0 or a.kernel.odd.pivots != tuple(range(3, n + 4)):
+        if a.part.frak_i.even.dim != 0 or a.part.frak_i.odd.pivots != tuple(range(3, n + 4)):
             failures.append(f"n={n} kernel not the odd module span")
         if not a.part.maximal_length:
             failures.append(f"n={n} maximal length false")
@@ -146,13 +146,13 @@ def test_criterion_3_connection_machinery():
     result = ss.decompose(a.dec)
     if not result.u_space.is_zero():
         failures.append("complement of the generated diagonal is nonzero")
-    if len(result.ideals) != 1 or result.ideals[0].ideal != a.alg.full_graded():
+    if len(result.ideals) != 1 or result.ideals[0].ideal != a.dec.algebra.full_graded():
         failures.append("class ideal does not recover the whole algebra")
     if not (result.refinement_applies and result.refinement_direct):
         failures.append("direct-sum refinement check failed")
-    if not ss.center(a.alg).is_zero():
+    if not ss.center(a.dec.algebra).is_zero():
         failures.append("center nonzero")
-    if ss.derived_subalgebra(a.alg) != a.alg.full_graded():
+    if ss.derived_subalgebra(a.dec.algebra) != a.dec.algebra.full_graded():
         failures.append("algebra not perfect")
 
     gate("connection machinery", failures, time.perf_counter() - t0, 1.0)
@@ -166,10 +166,10 @@ def test_criterion_4_corpus_property_suite():
         failures.append(f"corpus has {len(analyses)} members")
 
     for idx, (doc, prov, a) in enumerate(analyses):
-        alg = a.alg
+        alg = a.dec.algebra
         if ss.verify_split_facts(a.dec) != []:
             failures.append(f"[{idx}] pairwise root-sum closure violated")
-        if not ss.annihilates_from_right(alg, a.kernel):
+        if not ss.annihilates_from_right(alg, a.part.frak_i):
             failures.append(f"[{idx}] kernel not right-annihilated")
 
         classes = ss.connection_classes(a.dec)
@@ -226,27 +226,28 @@ def test_criterion_5_simplicity_verdicts():
         (lambda: ss.gen_example2(3), "module n=3", 128),
     ):
         a = analyze_doc(maker())
-        oracle = ss.oracle_verdict(a.dec, a.part, 1 << 20)
-        expected = {a.alg.zero_graded(), a.kernel, a.alg.full_graded()}
+        oracle = a.oracle
+        expected = {a.dec.algebra.zero_graded(), a.part.frak_i, a.dec.algebra.full_graded()}
         if oracle.verdict != "Simple":
             failures.append(f"{label}: oracle says {oracle.verdict}")
         if set(oracle.found_ideals) != expected:
             failures.append(f"{label}: ideal set not {{0, kernel, everything}}")
         if oracle.candidates_checked != candidates:
             failures.append(f"{label}: {oracle.candidates_checked} candidates")
-        outcome = ss.classify(a.dec, a.part, a.hyp, a.conn, oracle)
+        outcome = a.classification
         if outcome.case_tag != "Case1_Simple":
             failures.append(f"{label}: classified as {outcome.case_tag}")
 
     blocks = analyze_doc(two_block_doc())
-    oracle = ss.oracle_verdict(blocks.dec, blocks.part, 1 << 20)
+    oracle = blocks.oracle
     if oracle.verdict != "NotSimple":
         failures.append(f"two-block: oracle says {oracle.verdict}")
     cert = oracle.certificate_ideal
-    if cert is None or not ss.is_graded_ideal(blocks.alg, cert):
+    if cert is None or not ss.is_graded_ideal(blocks.dec.algebra, cert):
         failures.append("two-block: certificate does not re-validate")
     else:
-        trivial = {blocks.alg.zero_graded(), blocks.kernel, blocks.alg.full_graded()}
+        alg = blocks.dec.algebra
+        trivial = {alg.zero_graded(), blocks.part.frak_i, alg.full_graded()}
         if cert in trivial:
             failures.append("two-block: certificate is not a proper witness")
 
@@ -258,8 +259,9 @@ def test_criterion_6_mode_agreement():
     failures: list = []
 
     for idx, (doc, prov, a) in enumerate(corpus_analyses()):
-        theorem = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
-        oracle = ss.oracle_verdict(a.dec, a.part, 1 << 20)
+        theorem = a.theorem
+        # Not a.oracle, which the record would keep: criterion 7 times its own run.
+        oracle = ss.oracle_verdict(a)
         if theorem.verdict == "Undetermined":
             if not theorem.failed_hypotheses:
                 failures.append(f"[{idx}] inconclusive verdict names no hypothesis")
@@ -269,7 +271,7 @@ def test_criterion_6_mode_agreement():
             )
 
     a = analyze_doc(ss.gen_example1())
-    theorem = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
+    theorem = a.theorem
     if theorem.verdict != "Undetermined" or "card_notI" not in theorem.failed_hypotheses:
         failures.append(
             f"five-dim: expected card_notI among {theorem.failed_hypotheses}"
@@ -283,11 +285,11 @@ def test_criterion_7_enumerated_ideal_shape():
     failures: list = []
 
     for idx, (doc, prov, a) in enumerate(corpus_analyses()):
-        oracle = ss.oracle_verdict(a.dec, a.part, 1 << 20)
+        oracle = a.oracle
         for ideal in oracle.found_ideals:
             if not ss.ideal_root_aligned(a.dec, ideal):
                 failures.append(f"[{idx}] enumerated ideal not root-aligned")
-        checks = ss.lemma_checks(a.dec, a.part, a.hyp, a.conn, oracle)
+        checks = a.lemma_violations
         if checks:
             failures.append(f"[{idx}] {[kind for kind, _ in checks]}")
 

@@ -105,30 +105,30 @@ class TestHypothesisReport:
 class TestTheoremVerdict:
     def test_small_cardinalities_stay_undetermined(self) -> None:
         a = analyze_doc(FIVE_DIM_DOC)
-        v = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
+        v = a.theorem
         assert v.verdict == "Undetermined"
         assert v.failed_hypotheses == ("card_notI", "card_I")
         assert v.certificate_ideal is None
 
     def test_osp_fails_only_kernel_cardinality(self) -> None:
         a = analyze_doc(osp12_doc())
-        v = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
+        v = a.theorem
         assert v.verdict == "Undetermined"
         assert v.failed_hypotheses == ("card_I",)
 
     def test_two_block_not_simple_with_certificate(self) -> None:
         a = analyze_doc(two_block_doc())
-        v = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
+        v = a.theorem
         assert v.verdict == "NotSimple"
         assert v.certificate_kind == "generated_from_disconnected_slot"
         cert = v.certificate_ideal
         assert cert is not None
-        assert 0 < cert.dim < a.alg.dim
-        assert ss.is_graded_ideal(a.alg, cert)
+        assert 0 < cert.dim < a.dec.algebra.dim
+        assert ss.is_graded_ideal(a.dec.algebra, cert)
 
     def test_weight_pair_failure_list(self) -> None:
         a = analyze_doc(weight_pair_doc())
-        v = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
+        v = a.theorem
         assert v.verdict == "Undetermined"
         assert v.failed_hypotheses == (
             "h_equals_h_lambda",
@@ -142,7 +142,7 @@ class TestTheoremVerdict:
 class TestOracle:
     def test_five_dim_simple(self) -> None:
         a = analyze_doc(FIVE_DIM_DOC)
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "Simple"
         assert res.complete
         assert res.candidates_checked == 32
@@ -152,18 +152,18 @@ class TestOracle:
 
     def test_case2i_not_simple(self) -> None:
         a = analyze_doc(case2i_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "NotSimple"
         assert res.certificate_kind == "ideal"
         assert res.certificate_ideal.dim == 2
         assert res.candidates_checked == 128
         assert sorted(s.dim for s in res.found_ideals) == [0, 2, 2, 4, 7]
         for space in res.found_ideals:
-            assert ss.is_graded_ideal(a.alg, space)
+            assert ss.is_graded_ideal(a.dec.algebra, space)
 
     def test_two_block_incomplete_but_determined(self) -> None:
         a = analyze_doc(two_block_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "NotSimple"
         assert not res.complete
         assert res.candidates_checked == 1024
@@ -171,29 +171,30 @@ class TestOracle:
 
     def test_weight_pair_extras(self) -> None:
         a = analyze_doc(weight_pair_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "NotSimple"
         assert res.candidates_checked == 8
         assert res.certificate_ideal.dim == 1
 
     def test_abelian_derived_zero(self) -> None:
         a = analyze_doc(ss.abelian_doc(1, 0))
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "NotSimple"
         assert res.certificate_kind == "derived_zero"
 
     def test_bound_exceeded(self) -> None:
         a = analyze_doc(FIVE_DIM_DOC)
         with pytest.raises(ss.OracleBoundExceeded) as exc:
-            ss.oracle_verdict(a.dec, a.part, bound=4)
+            ss.Analysis(a.dec, bound=4).oracle
         assert exc.value.candidates == 32
         assert exc.value.bound == 4
 
     def test_requires_maximal_length(self) -> None:
         a = analyze_doc(double_slot_doc())
         assert not a.part.maximal_length
+        assert a.oracle is None
         with pytest.raises(ValueError):
-            ss.oracle_verdict(a.dec, a.part)
+            ss.oracle_verdict(a)
 
     def test_prime_field_instance(self) -> None:
         doc = {
@@ -205,7 +206,7 @@ class TestOracle:
         }
         a = analyze_doc(doc)
         assert sorted(r.values[0] for r in a.dec.roots) == [1]
-        res = ss.oracle_verdict(a.dec, a.part)
+        res = a.oracle
         assert res.verdict == "NotSimple"
         assert res.certificate_ideal.dim == 1
 
@@ -217,7 +218,7 @@ class TestRootAlignment:
 
     def test_diagonal_line_is_not_aligned(self) -> None:
         a = analyze_doc(FIVE_DIM_DOC)
-        diag = a.alg.graded_span(
+        diag = a.dec.algebra.graded_span(
             [tuple(Fraction(1 if i in (3, 4) else 0) for i in range(5))]
         )
         assert diag.dim == 1
@@ -227,50 +228,45 @@ class TestRootAlignment:
         a = analyze_doc(double_slot_doc())
         e1, e2 = ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))
         assert a.dec.slot(a.dec.sorted_roots()[0], 0).dim == 2
-        assert not ss.ideal_root_aligned(a.dec, a.alg.graded_span([e1]))
-        assert ss.ideal_root_aligned(a.dec, a.alg.graded_span([e1, e2]))
+        assert not ss.ideal_root_aligned(a.dec, a.dec.algebra.graded_span([e1]))
+        assert ss.ideal_root_aligned(a.dec, a.dec.algebra.graded_span([e1, e2]))
 
 
 class TestLemmaChecks:
     def test_clean_on_references(self) -> None:
         for doc in (FIVE_DIM_DOC, case2i_doc(), osp12_doc(), weight_pair_doc()):
             a = analyze_doc(doc)
-            res = ss.oracle_verdict(a.dec, a.part)
-            v = ss.theorem_verdict(a.dec, a.part, a.hyp, a.conn)
-            assert ss.lemma_checks(a.dec, a.part, a.hyp, a.conn, res) == []
+            a.theorem  # theorem mode raises no VerificationError here
+            assert a.lemma_violations == []
 
     def test_clean_on_two_block(self) -> None:
         a = analyze_doc(two_block_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
-        assert ss.lemma_checks(a.dec, a.part, a.hyp, a.conn, res) == []
+        assert a.lemma_violations == []
 
 
 class TestClassification:
     def test_simple_references_are_case1(self) -> None:
         for doc in (FIVE_DIM_DOC, osp12_doc(), ss.gen_example2(1), ss.gen_example2(3)):
             a = analyze_doc(doc)
-            res = ss.oracle_verdict(a.dec, a.part)
-            out = ss.classify(a.dec, a.part, a.hyp, a.conn, res)
+            out = a.classification
             assert out.case_tag == "Case1_Simple"
             assert out.characteristic == 0
 
     def test_case2i_shape(self) -> None:
         a = analyze_doc(case2i_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
-        out = ss.classify(a.dec, a.part, a.hyp, a.conn, res)
+        out = a.classification
         assert out.case_tag == "Case2i"
         assert out.ideal.dim == 2
         assert out.complement.dim == 2
         # The matched ideal and its complement rebuild the kernel.
         rebuilt = out.ideal.plus(out.complement)
         assert rebuilt == a.part.frak_i
-        assert ss.is_subalgebra(a.alg, out.complement)
+        assert ss.is_subalgebra(a.dec.algebra, out.complement)
 
     def test_two_block_fails_preconditions(self) -> None:
         a = analyze_doc(two_block_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
         with pytest.raises(ss.ClassifyPreconditionError) as exc:
-            ss.classify(a.dec, a.part, a.hyp, a.conn, res)
+            a.classification
         assert exc.value.failed == (
             "kernel_connectivity",
             "nonkernel_connectivity",
@@ -279,9 +275,8 @@ class TestClassification:
 
     def test_weight_pair_fails_preconditions(self) -> None:
         a = analyze_doc(weight_pair_doc())
-        res = ss.oracle_verdict(a.dec, a.part)
         with pytest.raises(ss.ClassifyPreconditionError) as exc:
-            ss.classify(a.dec, a.part, a.hyp, a.conn, res)
+            a.classification
         # Root 4 cannot walk back to root 2: letters are occupied slots,
         # never their negatives, and -2 is not a root here.
         assert exc.value.failed == (
@@ -295,22 +290,22 @@ class TestClassification:
         # Hand-built enumeration result: a single slot of the kernel is
         # not an ideal shape any template accepts.
         a = analyze_doc(case2i_doc())
-        line = a.alg.graded_span(
+        line = a.dec.algebra.graded_span(
             [tuple(Fraction(1 if i == 3 else 0) for i in range(7))]
         )
-        fake = ss.OracleResult(
+        a.oracle = ss.OracleResult(
             verdict="NotSimple",
             complete=True,
             candidates_checked=0,
             lattice_size=0,
             slot_count=0,
             found_ideals=(
-                a.alg.zero_graded(),
+                a.dec.algebra.zero_graded(),
                 a.part.frak_i,
-                a.alg.full_graded(),
+                a.dec.algebra.full_graded(),
                 line,
             ),
         )
-        out = ss.classify(a.dec, a.part, a.hyp, a.conn, fake)
+        out = a.classification
         assert out.case_tag == "Unclassified"
         assert out.diagnostics == ("ideal of dimension 1 fits no template",)

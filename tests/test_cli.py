@@ -159,6 +159,24 @@ class TestConnect:
         assert code == 0
         assert len(report["classes"]) == 1
 
+    def test_bare_invocation_searches_once_per_class(self, tmp_path, capsys, monkeypatch):
+        # The witnesses from each class's least root come out of the one
+        # search that found the class.
+        original = ss.connections._search
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(ss.connections, "_search", counted)
+        path = write_doc(tmp_path, ss.gen_example2(15))
+        code, report = run_json(capsys, ["connect", path])
+        assert code == 0
+        assert len(report["classes"]) == 1
+        assert len(report["classes"][0]["witnesses_from_representative"]) == 18
+        assert len(calls) == 1
+
     def test_two_block_yields_two_classes(self, tmp_path, capsys):
         path = write_doc(tmp_path, two_block_doc())
         code, report = run_json(capsys, ["connect", path])
@@ -362,6 +380,50 @@ class TestInvariantsOnce:
         code, _ = run_json(capsys, ["decompose", path])
         assert code == 0
         assert len(centers) == 1
+
+
+class TestVerificationErrors:
+    """A failed structural check exits 1. Inside decompose or theorem mode
+    the report keeps the keys written so far plus "error"; inside the
+    oracle nothing is emitted and the message goes to stderr."""
+
+    @staticmethod
+    def fail(*args):
+        raise ss.VerificationError("forced failure")
+
+    def test_decompose_keeps_the_report_and_adds_the_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ss.connections, "class_ideal", self.fail)
+        path = write_doc(tmp_path, two_block_doc())
+        code, report = run_json(capsys, ["decompose", path])
+        assert code == 1
+        assert list(report) == ["command", "error", "schema", "validation"]
+        assert report["validation"]["ok"] is True
+        assert report["error"] == {"type": "VerificationError", "message": "forced failure"}
+
+    def test_theorem_mode_keeps_the_report_and_adds_the_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # No generated ideal is proper, so the disconnected side has no certificate.
+        monkeypatch.setattr(ss.analysis, "generated_ideal", lambda alg, seed: alg.zero_graded())
+        path = write_doc(tmp_path, two_block_doc())
+        code, report = run_json(capsys, ["analyze", path])
+        assert code == 1
+        assert list(report) == [
+            "command", "connectivity", "error", "hypotheses", "partition", "schema",
+            "split", "validation",
+        ]
+        assert report["error"] == {
+            "type": "VerificationError",
+            "message": "disconnected side yielded no proper ideal certificate",
+        }
+
+    def test_oracle_failure_emits_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ss.analysis, "is_graded_ideal", lambda alg, space: False)
+        path = write_doc(tmp_path, FIVE_DIM_DOC)
+        assert main(["analyze", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure: enumerated candidate failed" in captured.err
 
 
 class TestGen:

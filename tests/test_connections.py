@@ -121,7 +121,7 @@ class TestClassIdeals:
         assert ci.ideal.dim == 5
         assert ci.h_part.dim == 1
         assert ci.v_part.dim == 4
-        assert ss.is_graded_ideal(a.alg, ci.ideal)
+        assert ss.is_graded_ideal(a.dec.algebra, ci.ideal)
 
     def test_two_block_ideals_pairwise_annihilate(self) -> None:
         a = analyze_doc(two_block_doc())
@@ -131,12 +131,12 @@ class TestClassIdeals:
         assert dcmp.refinement_applies
         assert dcmp.refinement_direct
         first, second = (ci.ideal for ci in dcmp.ideals)
-        assert ss.is_graded_ideal(a.alg, first)
-        assert ss.is_graded_ideal(a.alg, second)
+        assert ss.is_graded_ideal(a.dec.algebra, first)
+        assert ss.is_graded_ideal(a.dec.algebra, second)
         for x in first.basis_vectors():
             for y in second.basis_vectors():
-                assert all(c == 0 for c in a.alg.product(x, y))
-                assert all(c == 0 for c in a.alg.product(y, x))
+                assert all(c == 0 for c in a.dec.algebra.product(x, y))
+                assert all(c == 0 for c in a.dec.algebra.product(y, x))
 
     def test_sum_recovers_algebra(self) -> None:
         for doc in (FIVE_DIM_DOC, two_block_doc(), osp12_doc()):
@@ -145,7 +145,7 @@ class TestClassIdeals:
             total = dcmp.u_space
             for ci in dcmp.ideals:
                 total = total.plus(ci.ideal)
-            assert total.dim == a.alg.dim
+            assert total.dim == a.dec.algebra.dim
             assert dcmp.refinement_applies
 
 
@@ -231,7 +231,7 @@ def _split_or_none(doc: dict, field=None):
         dec = ss.split(alg, cartan)
     except ss.SplitError:
         return None
-    return dec, ss.partition_roots(dec, ss.leibniz_kernel(alg))
+    return dec, ss.partition_roots(dec)
 
 
 @pytest.fixture(scope="module", params=["fixtures", "Q", "Fp:2", "Fp:3", "Fp:7"])
