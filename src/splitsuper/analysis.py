@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import GradedSubspace, Superalgebra, generated_ideal
+from .algebra import GradedSubspace, generated_ideal
 from .connections import (
     VerificationError,
     connectivity_summary,
     is_graded_ideal,
     is_subalgebra,
 )
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Matrix, kernel_basis
 from .splitting import RootPartition, SplitDecomposition, partition_roots
 
 DEFAULT_ORACLE_BOUND = 2**20
@@ -44,7 +44,7 @@ class Analysis:
 
     @cached_property
     def conn(self) -> dict:
-        return connectivity_summary(self.dec, self.part)
+        return connectivity_summary(self.part)
 
     @cached_property
     def hyp(self) -> HypothesisReport:
@@ -74,23 +74,12 @@ class Analysis:
         return {alg.zero_graded(), self.part.frak_i, alg.full_graded()}
 
 
-def _slot_product(alg: Superalgebra, a: Subspace, b: Subspace) -> list:
-    out = []
-    for x in a.basis:
-        for y in b.basis:
-            p = alg.product(x, y)
-            if any(p):
-                out.append(p)
-    return out
-
-
 def root_multiplicative(dec: SplitDecomposition, part: RootPartition):
     """Nonvanishing of slot products across the root partition.
 
     Returns (flag, violations); a violation is (rule, left_slot, right_slot)
     where each slot is (root values, parity).
     """
-    alg = dec.algebra
     not_i = part.upsilon_slots("notI")
     i_side = part.upsilon_slots("I")
     kernel_roots = part.kernel_roots()
@@ -100,8 +89,7 @@ def root_multiplicative(dec: SplitDecomposition, part: RootPartition):
             total = a_root + b_root
             if total.is_zero() or not dec.is_root(total):
                 continue
-            prods = _slot_product(alg, dec.slot(a_root, a_par), dec.slot(b_root, b_par))
-            if not prods:
+            if not dec.slot_products((a_root, a_par), (b_root, b_par)):
                 violations.append(
                     ("nonkernel_pair", (a_root.values, a_par), (b_root.values, b_par))
                 )
@@ -110,8 +98,7 @@ def root_multiplicative(dec: SplitDecomposition, part: RootPartition):
             total = a_root + g_root
             if total.is_zero() or total not in kernel_roots:
                 continue
-            prods = _slot_product(alg, dec.slot(g_root, g_par), dec.slot(a_root, a_par))
-            if not prods:
+            if not dec.slot_products((g_root, g_par), (a_root, a_par)):
                 violations.append(
                     ("kernel_pair", (g_root.values, g_par), (a_root.values, a_par))
                 )
@@ -141,16 +128,7 @@ def lie_annihilator(dec: SplitDecomposition, part: RootPartition) -> GradedSubsp
 
 def h_lambda_space(dec: SplitDecomposition) -> GradedSubspace:
     """Span of all products of opposite root spaces."""
-    alg = dec.algebra
-    gens = []
-    for root in dec.sorted_roots():
-        neg = -root
-        if not dec.is_root(neg):
-            continue
-        for x in dec.root_space(root).basis_vectors():
-            for y in dec.root_space(neg).basis_vectors():
-                gens.append(alg.product(x, y))
-    return alg.graded_span(gens)
+    return dec.opposite_span(dec.occupied_slots())
 
 
 @dataclass(frozen=True)
@@ -168,24 +146,13 @@ class HypothesisReport:
     lie_annihilator: GradedSubspace  # not reported; lemma_checks reads it
 
 
-def _product_span_check(dec: SplitDecomposition, part: RootPartition) -> bool:
-    """The splitting subalgebra must be spanned by the opposite-slot
-    products over roots outside the kernel set."""
-    alg = dec.algebra
-    gens: list = []
-    for parity in (0, 1):
-        for root in sorted(part.lambda_not_i[parity]):
-            for neg_parity in (0, 1):
-                gens += _slot_product(alg, dec.slot(-root, neg_parity), dec.slot(root, parity))
-    return alg.graded_span(gens) == dec.cartan
-
-
 def hypothesis_report(dec: SplitDecomposition, part: RootPartition) -> HypothesisReport:
     alg = dec.algebra
     h_lam = h_lambda_space(dec)
     h_eq = h_lam == dec.cartan
     rm_flag, rm_violations = root_multiplicative(dec, part)
-    product_span = _product_span_check(dec, part) if h_eq else None
+    # Whether the opposite products over the slots outside the kernel span H.
+    product_span = dec.opposite_span(part.upsilon_slots("notI")) == dec.cartan if h_eq else None
     z_lie = lie_annihilator(dec, part)
     return HypothesisReport(
         h_equals_h_lambda=h_eq,
@@ -321,9 +288,10 @@ def oracle_verdict(a: Analysis) -> OracleResult:
         r1, p1 = slots[i]
         for j in range(n_slots):
             r2, p2 = slots[j]
-            v = alg.product(slot_vec[i], slot_vec[j])
-            if not any(v):
+            prods = dec.slot_products(slots[i], slots[j])
+            if not prods:
                 continue
+            (v,) = prods
             total = r1 + r2
             if total.is_zero():
                 pair_table[i][j] = ("h", h_ref(v))
@@ -355,12 +323,12 @@ def oracle_verdict(a: Analysis) -> OracleResult:
     if candidates > a.bound:
         raise OracleBoundExceeded(candidates, a.bound)
 
-    def forced_slots(h, t: int, what: str) -> set:
-        """Slots hit by h acting on slot t from either side; the action of
-        an element of H keeps the root, so only t's two parities qualify."""
+    def hits(t: int, products, what: str) -> set:
+        """Slots hit by the products of slot t with elements of H; the action
+        of an element of H keeps the root, so only t's two parities qualify."""
         r = slots[t][0]
-        hits = set()
-        for v in (alg.product(slot_vec[t], h), alg.product(h, slot_vec[t])):
+        out = set()
+        for v in products:
             if not any(v):
                 continue
             targets = [
@@ -370,18 +338,23 @@ def oracle_verdict(a: Analysis) -> OracleResult:
             ]
             if not targets:
                 raise VerificationError(f"{what} action escaped the root space", v)
-            hits.add(targets[0])
-        return hits
+            out.add(targets[0])
+        return out
 
     # Per slot s: the slots forced into the candidate once s is present,
     # by the two-sided action of the whole splitting subalgebra and by both
     # product orders against every slot (the other factor ranges over all
     # of the algebra), and the product lines in H it needs.
-    h_basis = dec.cartan.basis_vectors()
+    h_slots = [(dec.zero_root, p) for p in (0, 1)]
     need = [0] * n_slots
     needs_line = [0] * n_slots
     for s in range(n_slots):
-        for u in set().union(*(forced_slots(h, s, "subalgebra") for h in h_basis)):
+        h_action = [
+            v
+            for h in h_slots
+            for v in dec.slot_products(slots[s], h) + dec.slot_products(h, slots[s])
+        ]
+        for u in hits(s, h_action, "subalgebra"):
             need[s] |= 1 << u
         for t in range(n_slots):
             for entry in (pair_table[s][t], pair_table[t][s]):
@@ -397,7 +370,11 @@ def oracle_verdict(a: Analysis) -> OracleResult:
         # Slots forced by the member's generators acting on any slot, and
         # the slots whose product lines the member lacks.
         forced = set().union(
-            *(forced_slots(g, t, "lattice") for g in members[m] for t in range(n_slots))
+            *(
+                hits(t, (alg.product(slot_vec[t], g), alg.product(g, slot_vec[t])), "lattice")
+                for g in members[m]
+                for t in range(n_slots)
+            )
         )
         req = sum(1 << u for u in forced)
         lacking = sum(1 << i for i, v in enumerate(h_vectors) if not m.contains_vector(v))
@@ -550,7 +527,7 @@ def _match_case2(dec, part, ideal):
         k_space = _span_slots(dec, k_keys)
         if not is_subalgebra(alg, k_space):
             continue
-        if _slot_product(alg, k_space.space, k_space.space):
+        if any(dec.slot_products(a, b) for a in k_keys for b in k_keys):
             continue  # the template complement must be abelian
         if not _direct_sum_is(alg, [ideal, k_space], frak_i):
             continue
@@ -575,20 +552,15 @@ def _match_case3(dec, part, ideal):
     for i_par in (0, 1):
         if (alpha, i_par) not in islots:
             continue
-        other = dec.slot(alpha, (i_par + 1) % 2)
-        if other.is_zero():
+        own, other = (alpha, i_par), (alpha, (i_par + 1) % 2)
+        if dec.slot(*other).is_zero():
             continue
-        own = dec.slot(alpha, i_par)
-        h_line = alg.graded_span(
-            _slot_product(alg, own, other) + _slot_product(alg, other, own)
-        )
+        h_line = alg.graded_span(dec.slot_products(own, other) + dec.slot_products(other, own))
         kernel_in = islots & set(part.upsilon_slots("I"))
-        rebuilt = h_line.plus(_span_slots(dec, {(alpha, i_par)} | kernel_in))
+        rebuilt = h_line.plus(_span_slots(dec, {own} | kernel_in))
         if rebuilt != ideal:
             continue
-        k_space = alg.graded_span(
-            _slot_product(alg, other, other) + list(other.basis)
-        )
+        k_space = alg.graded_span(dec.slot_products(other, other) + dec.slot(*other).basis)
         if k_space.dim != 2 or not is_subalgebra(alg, k_space):
             continue
         rest = _span_slots(dec, set(part.upsilon_slots("I")) - kernel_in)
@@ -660,9 +632,7 @@ def _match_case4(dec, part, ideal):
                 if rebuilt == ideal:
                     k_even_gens = []
                     for eps_root in (base, -base):
-                        prods = _slot_product(
-                            alg, dec.slot(eps_root, o_par), dec.slot(-eps_root, o_par)
-                        )
+                        prods = dec.slot_products((eps_root, o_par), (-eps_root, o_par))
                         line = alg.graded_span(prods)
                         if line.is_zero() or not line.meet(ideal).is_zero():
                             continue
@@ -685,10 +655,8 @@ def _match_case4(dec, part, ideal):
                     for k_par in (0, 1):
                         for eps_root in (base, -base):
                             for j_par in (0, 1):
-                                prods = _slot_product(
-                                    alg,
-                                    dec.slot(eps_root, k_par),
-                                    dec.slot(-eps_root, (k_par + j_par) % 2),
+                                prods = dec.slot_products(
+                                    (eps_root, k_par), (-eps_root, (k_par + j_par) % 2)
                                 )
                                 line = alg.graded_span(prods)
                                 if line.is_zero():

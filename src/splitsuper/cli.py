@@ -169,7 +169,7 @@ def _connect_stages(args, dec, report: dict) -> int:
         a = _parse_slot(f, args.from_root, width)
         b = _parse_slot(f, args.to_root, width)
         try:
-            w = neg_i_connected(dec, record.part, a, b, args.upsilon)
+            w = neg_i_connected(record.part, a, b, args.upsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         report["query"] = {

@@ -4,11 +4,17 @@ The even generators of the input subalgebra act by right multiplication;
 simultaneous true eigenspaces of those commuting operators are the root
 spaces, and the zero-eigenvalue space must coincide with the subalgebra
 itself, which certifies its maximality.
+
+A slot is (root, parity): one parity part of a root space, or of H under
+the zero root. The decomposition multiplies the basis vectors of each
+ordered slot pair once and keeps the nonzero products (`slot_products`);
+the split facts, the hypotheses, the class ideals, the oracle and the
+classification templates all read them from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import total_ordering
 
 from .algebra import GradedSubspace, Superalgebra
@@ -72,6 +78,12 @@ class SplitDecomposition:
     h0_basis: tuple  # ordered even generators, the functional domain basis
     roots: dict  # Root -> GradedSubspace
     zero_space: GradedSubspace
+    _products: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def zero_root(self) -> Root:
+        f = self.algebra.field
+        return Root(f, tuple(f.zero() for _ in self.h0_basis))
 
     def sorted_roots(self) -> list[Root]:
         return sorted(self.roots)
@@ -84,6 +96,22 @@ class SplitDecomposition:
         if space is None:
             return Subspace.zero(self.algebra.field, self.algebra.dim)
         return space.odd if parity % 2 else space.even
+
+    def slot_products(self, a: tuple, b: tuple) -> tuple:
+        """The nonzero [x, y] for x in slot a's basis and y in slot b's, in
+        basis order; each ordered slot pair is multiplied once."""
+        key = (a, b)
+        if key not in self._products:
+            product = self.algebra.product
+            pairs = (product(x, y) for x in self.slot(*a).basis for y in self.slot(*b).basis)
+            self._products[key] = tuple(v for v in pairs if any(v))
+        return self._products[key]
+
+    def opposite_span(self, slots) -> GradedSubspace:
+        """Graded span of [L_(-r, q), L_(r, p)] over the slots (r, p) and both q."""
+        return self.algebra.graded_span(
+            v for r, p in slots for q in (0, 1) for v in self.slot_products((-r, q), (r, p))
+        )
 
     def occupied_slots(self) -> list[tuple[Root, int]]:
         return [
@@ -210,29 +238,14 @@ class SplitFactViolation:
 
 def verify_split_facts(dec: SplitDecomposition) -> list[SplitFactViolation]:
     """Check that graded slot products land in the slot of the summed root."""
-    alg = dec.algebra
-    f = alg.field
-    zero_root = Root(f, tuple(f.zero() for _ in dec.h0_basis))
-    slots: list[tuple[Root, int, Subspace]] = []
-    for parity, sub in ((0, dec.cartan.even), (1, dec.cartan.odd)):
-        if not sub.is_zero():
-            slots.append((zero_root, parity, sub))
-    for root, parity in dec.occupied_slots():
-        slots.append((root, parity, dec.slot(root, parity)))
-    violations = []
-    for r1, p1, s1 in slots:
-        for r2, p2, s2 in slots:
-            target = dec.slot(r1 + r2, p1 + p2)
-            for x in s1.basis:
-                for y in s2.basis:
-                    prod = alg.product(x, y)
-                    if not any(prod):
-                        continue
-                    if not target.contains_vector(prod):
-                        violations.append(
-                            SplitFactViolation((r1.values, p1), (r2.values, p2), prod)
-                        )
-    return violations
+    slots = [(dec.zero_root, p) for p in (0, 1)] + dec.occupied_slots()
+    return [
+        SplitFactViolation((r1.values, p1), (r2.values, p2), prod)
+        for r1, p1 in slots
+        for r2, p2 in slots
+        for prod in dec.slot_products((r1, p1), (r2, p2))
+        if not dec.slot(r1 + r2, p1 + p2).contains_vector(prod)
+    ]
 
 
 @dataclass(frozen=True)

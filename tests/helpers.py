@@ -390,6 +390,82 @@ def reference_connection_classes(dec: ss.SplitDecomposition) -> list[list[ss.Roo
 
 
 # ---------------------------------------------------------------------------
+# Reference product loops: products of root spaces multiplied afresh, one
+# loop per root, as the library computed them before its decomposition
+# kept one product table per slot pair; and a slot product read straight
+# off the structure constants.
+
+
+def table_product(alg: ss.Superalgebra, x: tuple, y: tuple) -> tuple:
+    """[x, y] summed over every table entry, without Superalgebra.product."""
+    out = [alg.field.zero()] * alg.dim
+    for (i, j), entries in alg.table.items():
+        for k, c in entries:
+            out[k] += x[i] * y[j] * c
+    return tuple(alg.field.reduce(out))
+
+
+def brute_slot_products(dec: ss.SplitDecomposition, a: tuple, b: tuple) -> tuple:
+    """Nonzero products of the basis vectors of slots a and b, in basis order;
+    a slot's basis is its root space's rows (H's for the zero root) of that
+    parity."""
+    alg = dec.algebra
+
+    def basis(root, parity):
+        space = dec.cartan if root.is_zero() else dec.roots.get(root)
+        if space is None:
+            return []
+        return [
+            v for v in space.basis_vectors()
+            if alg.parity[next(i for i, x in enumerate(v) if x)] == parity % 2
+        ]
+
+    prods = (table_product(alg, x, y) for x in basis(*a) for y in basis(*b))
+    return tuple(v for v in prods if any(v))
+
+
+def reference_h_lambda(dec: ss.SplitDecomposition) -> ss.GradedSubspace:
+    """Span of [L_a, L_-a] over every root a."""
+    alg = dec.algebra
+    gens = []
+    for root in dec.sorted_roots():
+        neg = -root
+        if not dec.is_root(neg):
+            continue
+        for x in dec.root_space(root).basis_vectors():
+            for y in dec.root_space(neg).basis_vectors():
+                gens.append(alg.product(x, y))
+    return alg.graded_span(gens)
+
+
+def reference_product_span(dec: ss.SplitDecomposition, part: ss.RootPartition) -> ss.GradedSubspace:
+    """Span of the opposite-slot products [L_(-a, q), L_(a, p)] over the
+    slots (a, p) outside the kernel set."""
+    alg = dec.algebra
+    gens: list = []
+    for parity in (0, 1):
+        for root in sorted(part.lambda_not_i[parity]):
+            for neg_parity in (0, 1):
+                for x in dec.slot(-root, neg_parity).basis:
+                    for y in dec.slot(root, parity).basis:
+                        gens.append(alg.product(x, y))
+    return alg.graded_span(gens)
+
+
+def reference_class_h_part(dec: ss.SplitDecomposition, cls) -> ss.GradedSubspace:
+    """Span of [L_a, L_-a] over the roots a of one connection class."""
+    alg = dec.algebra
+    h_gens = []
+    for root in cls:
+        neg = -root
+        if dec.is_root(neg):
+            for x in dec.root_space(root).basis_vectors():
+                for y in dec.root_space(neg).basis_vectors():
+                    h_gens.append(alg.product(x, y))
+    return alg.graded_span(h_gens)
+
+
+# ---------------------------------------------------------------------------
 # fixture documents
 
 FIVE_DIM_DOC = ss.gen_example1()

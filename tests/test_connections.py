@@ -152,9 +152,7 @@ class TestClassIdeals:
 class TestGradedConnection:
     def test_trivial_when_roots_match_up_to_sign(self) -> None:
         a = analyze_doc(case2i_doc())
-        w = ss.neg_i_connected(
-            a.dec, a.part, (root_of(a, 1), 0), (root_of(a, -1), 0), "I"
-        )
+        w = ss.neg_i_connected(a.part, (root_of(a, 1), 0), (root_of(a, -1), 0), "I")
         assert w is not None and w.trivial
         assert ss.validate_graded_connection(
             a.part, w, (root_of(a, 1), 0), (root_of(a, -1), 0), "I"
@@ -163,7 +161,7 @@ class TestGradedConnection:
     def test_nontrivial_kernel_chain(self) -> None:
         a = analyze_doc(ss.gen_example2(3))
         start, goal = (root_of(a, 1), 1), (root_of(a, 3), 1)
-        w = ss.neg_i_connected(a.dec, a.part, start, goal, "I")
+        w = ss.neg_i_connected(a.part, start, goal, "I")
         assert w is not None and not w.trivial
         assert len(w.chain) == 2
         assert ss.validate_graded_connection(a.part, w, start, goal, "I")
@@ -173,7 +171,7 @@ class TestGradedConnection:
         # opposite far root, unlike the plain relation.
         a = analyze_doc(ss.gen_example2(3))
         start, goal = (root_of(a, 1), 1), (root_of(a, -3), 1)
-        w = ss.neg_i_connected(a.dec, a.part, start, goal, "I")
+        w = ss.neg_i_connected(a.part, start, goal, "I")
         assert w is not None and not w.trivial
         assert len(w.chain) == 3
         assert ss.validate_graded_connection(a.part, w, start, goal, "I")
@@ -183,12 +181,12 @@ class TestGradedConnection:
         kernel_slot = (root_of(a, 1), 1)
         outside_slot = (root_of(a, 2), 0)
         with pytest.raises(ValueError):
-            ss.neg_i_connected(a.dec, a.part, kernel_slot, outside_slot, "I")
+            ss.neg_i_connected(a.part, kernel_slot, outside_slot, "I")
 
     def test_tampered_graded_witness_rejected(self) -> None:
         a = analyze_doc(ss.gen_example2(3))
         start, goal = (root_of(a, 1), 1), (root_of(a, 3), 1)
-        w = ss.neg_i_connected(a.dec, a.part, start, goal, "I")
+        w = ss.neg_i_connected(a.part, start, goal, "I")
         wrong_parity = ss.GradedConnectionWitness(
             (w.chain[0], (w.chain[1][0], 1)), "I", False
         )
@@ -209,7 +207,7 @@ class TestGradedConnection:
         assert not a.conn["I"]["connected"]
         assert not a.conn["notI"]["connected"]
         (a_slot, b_slot) = a.conn["notI"]["failing_pair"]
-        assert ss.neg_i_connected(a.dec, a.part, a_slot, b_slot, "notI") is None
+        assert ss.neg_i_connected(a.part, a_slot, b_slot, "notI") is None
 
 
 # Inputs for the differential tests, by group: the fixtures, 30 seed-1
@@ -264,7 +262,7 @@ class TestSearchDifferential:
 
     def test_graded_witnesses(self, splits) -> None:
         for dec, part in splits:
-            summary = ss.connectivity_summary(dec, part)
+            summary = ss.connectivity_summary(part)
             for upsilon in ("I", "notI"):
                 slots = part.upsilon_slots(upsilon)
                 table = {}
@@ -272,7 +270,7 @@ class TestSearchDifferential:
                 for a in slots:
                     for b in slots:
                         ref = reference_neg_i_connected(part, a, b, upsilon)
-                        assert ss.neg_i_connected(dec, part, a, b, upsilon) == ref
+                        assert ss.neg_i_connected(part, a, b, upsilon) == ref
                         if ref is not None:
                             table[(a, b)] = ref
                         elif failing is None:

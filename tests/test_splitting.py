@@ -6,7 +6,20 @@ import pytest
 
 import splitsuper as ss
 
-from helpers import FIVE_DIM_DOC, analyze_doc, two_block_doc
+from helpers import (
+    FIVE_DIM_DOC,
+    analyze_doc,
+    brute_slot_products,
+    case2i_doc,
+    corpus,
+    osp12_doc,
+    reference_class_h_part,
+    reference_h_lambda,
+    reference_product_span,
+    sl2_doc,
+    two_block_doc,
+    weight_pair_doc,
+)
 
 
 def frac_vec(*entries: int) -> tuple:
@@ -223,3 +236,99 @@ class TestPartition:
         root, par = a.part.unclassifiable[0]
         assert root.values == (Fraction(2),)
         assert par == 0
+
+
+def odd_heisenberg_doc() -> dict:
+    """Odd Heisenberg superalgebra with a grading derivation: basis h, z
+    (even), x, y (odd); [x, h] = x, [y, h] = -y and [x, y] = [y, x] = z.
+    H is span(h, z) and H_Lambda = span(z) comes only from odd products."""
+    return {
+        "field": "Q",
+        "dim": 4,
+        "parity": [0, 0, 1, 1],
+        "products": [
+            [2, 0, [[2, "1"]]],
+            [0, 2, [[2, "-1"]]],
+            [3, 0, [[3, "-1"]]],
+            [0, 3, [[3, "1"]]],
+            [2, 3, [[1, "1"]]],
+            [3, 2, [[1, "1"]]],
+        ],
+        "cartan": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    }
+
+
+def _product_fixture_docs() -> list:
+    return [
+        odd_heisenberg_doc(),
+        FIVE_DIM_DOC,
+        sl2_doc(),
+        osp12_doc(),
+        case2i_doc(),
+        weight_pair_doc(),
+        two_block_doc(),
+        *(ss.gen_example2(n) for n in (1, 3, 5)),
+        *(doc for doc, _ in corpus()[:20]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def product_analyses() -> list:
+    return [analyze_doc(doc) for doc in _product_fixture_docs()]
+
+
+class TestSlotProducts:
+    """The decomposition's slot products against products read off the
+    structure constants, and its opposite spans against the per-root loops
+    they replaced."""
+
+    def test_every_slot_pair_matches_brute_force(self, product_analyses) -> None:
+        for a in product_analyses:
+            dec = a.dec
+            slots = [(dec.zero_root, p) for p in (0, 1)] + dec.occupied_slots()
+            for s in slots:
+                for t in slots:
+                    assert dec.slot_products(s, t) == brute_slot_products(dec, s, t)
+
+    def test_h_lambda_matches_reference(self, product_analyses) -> None:
+        for a in product_analyses:
+            assert ss.h_lambda_space(a.dec) == reference_h_lambda(a.dec)
+
+    def test_product_span_matches_reference(self, product_analyses) -> None:
+        for a in product_analyses:
+            span = a.dec.opposite_span(a.part.upsilon_slots("notI"))
+            assert span == reference_product_span(a.dec, a.part)
+            if a.hyp.h_equals_h_lambda:
+                assert a.hyp.product_span_recovers_subalgebra == (span == a.dec.cartan)
+
+    def test_class_h_parts_match_reference(self, product_analyses) -> None:
+        for a in product_analyses:
+            for cls in ss.connection_classes(a.dec):
+                h_part = ss.class_ideal(a.dec, cls).h_part
+                assert h_part == reference_class_h_part(a.dec, cls)
+
+    def test_odd_products_span_h_lambda(self) -> None:
+        dec = analyze_doc(odd_heisenberg_doc()).dec
+        z = tuple(Fraction(int(i == 1)) for i in range(4))
+        assert ss.h_lambda_space(dec) == dec.algebra.graded_span([z])
+
+    def test_zero_root_names_the_subalgebra(self) -> None:
+        dec = analyze_doc(two_block_doc()).dec
+        assert dec.zero_root.is_zero() and len(dec.zero_root.values) == 2
+        assert dec.slot(dec.zero_root, 0) == dec.cartan.even
+
+    def test_products_are_computed_once(self, monkeypatch) -> None:
+        dec = analyze_doc(two_block_doc()).dec
+        calls = []
+        original = ss.Superalgebra.product
+
+        def counted(self, x, y):
+            calls.append(1)
+            return original(self, x, y)
+
+        monkeypatch.setattr(ss.Superalgebra, "product", counted)
+        assert ss.verify_split_facts(dec) == []
+        first = len(calls)
+        assert first > 0
+        assert ss.verify_split_facts(dec) == []
+        assert len(calls) == first
